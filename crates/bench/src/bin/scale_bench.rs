@@ -294,7 +294,7 @@ fn main() {
                 report.kpi.qos_pct()
             );
             // Per-shard wall-time breakdown: where each worker's time
-            // went (registration, event loop, close-out, compaction).
+            // went (registration, event loop, close-out).
             // Diagnoses multi-shard scaling losses — a shard whose
             // register phase dominates is starved by setup, not by the
             // event loop.
@@ -303,15 +303,13 @@ fn main() {
                 if shards > 1 {
                     println!(
                         "            shard {}: {} dbs, {} events | register {:.3}s, \
-                         run {:.3}s, finish {:.3}s, stall {:.3}s, offloaded {:.3}s",
+                         run {:.3}s, finish {:.3}s",
                         c.shard,
                         c.databases,
                         c.events_processed,
                         c.register_micros as f64 / 1e6,
                         c.run_micros as f64 / 1e6,
                         c.finish_micros as f64 / 1e6,
-                        c.compaction_stall_micros as f64 / 1e6,
-                        c.offloaded_compaction_micros as f64 / 1e6,
                     );
                 }
                 shard_rows.push(JsonValue::object(vec![
@@ -322,14 +320,6 @@ fn main() {
                     ("register_micros", JsonValue::UInt(c.register_micros)),
                     ("run_micros", JsonValue::UInt(c.run_micros)),
                     ("finish_micros", JsonValue::UInt(c.finish_micros)),
-                    (
-                        "compaction_stall_micros",
-                        JsonValue::UInt(c.compaction_stall_micros),
-                    ),
-                    (
-                        "offloaded_compaction_micros",
-                        JsonValue::UInt(c.offloaded_compaction_micros),
-                    ),
                 ]));
             }
             entries.push(JsonValue::object(vec![

@@ -159,14 +159,8 @@ pub trait DatabasePolicy {
 
     /// The database's activity history (for overhead accounting and the
     /// backup/move path).  The optimal oracle policy keeps one too — the
-    /// activity tracker of §5 runs regardless of policy.  Held behind the
-    /// storage seam's [`HistoryBackend`] wrapper, so a fleet can run on
-    /// either the B+Tree or the LSM engine.
+    /// activity tracker of §5 runs regardless of policy.
     fn history(&self) -> &HistoryBackend;
-
-    /// Mutable access to the history store — the shard drivers use it to
-    /// attach and detach the LSM compaction scheduler around a run.
-    fn history_mut(&mut self) -> &mut HistoryBackend;
 
     /// Replace the history store (restore after a load-balancing move,
     /// §3.3).

@@ -110,10 +110,10 @@ impl LifecycleInvariants {
         Ok(())
     }
 
-    /// Validate the history store a run leaves behind: the backend (B-tree
-    /// or LSM, behind the [`HistoryStore`] seam) must satisfy its
-    /// structural invariants and yield strictly ascending timestamps
-    /// (every tuple is keyed by its timestamp).
+    /// Validate the history store a run leaves behind: the table (behind
+    /// the [`HistoryStore`] seam) must satisfy its structural invariants
+    /// and yield strictly ascending timestamps (every tuple is keyed by
+    /// its timestamp).
     ///
     /// # Errors
     ///
@@ -138,7 +138,7 @@ impl LifecycleInvariants {
 mod tests {
     use super::*;
     use crate::engine::TimerToken;
-    use prorp_storage::{HistoryBackend, HistoryTable, StorageBackend};
+    use prorp_storage::{HistoryBackend, HistoryTable};
     use prorp_types::EventKind;
 
     fn t(v: i64) -> Timestamp {
@@ -223,8 +223,8 @@ mod tests {
         h.insert_history(t(10), EventKind::Start);
         h.insert_history(t(20), EventKind::End);
         LifecycleInvariants::check_history(DatabaseId(1), &h).unwrap();
-        // The checker accepts any backend through the seam.
-        let mut b = HistoryBackend::new(StorageBackend::Lsm);
+        // The checker also accepts the engines' wrapper through the seam.
+        let mut b = HistoryBackend::default();
         b.insert_history(t(10), EventKind::Start);
         b.insert_history(t(20), EventKind::End);
         LifecycleInvariants::check_history(DatabaseId(1), &b).unwrap();

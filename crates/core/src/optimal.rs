@@ -12,7 +12,7 @@
 use crate::engine::{DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind};
 use crate::tracker::ActivityTracker;
 use prorp_forecast::OraclePredictor;
-use prorp_storage::{HistoryBackend, StorageBackend};
+use prorp_storage::HistoryBackend;
 use prorp_types::{DbState, EventKind, Prediction, ProrpError, Session, Timestamp};
 
 /// The clairvoyant per-database engine.
@@ -33,22 +33,9 @@ impl OptimalEngine {
     ///
     /// Propagates [`OraclePredictor::new`] validation failures.
     pub fn new(future_sessions: Vec<Session>) -> Result<Self, ProrpError> {
-        Self::with_backend(future_sessions, StorageBackend::default())
-    }
-
-    /// Build from the ground-truth future session list with the history
-    /// held in the given storage backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`OraclePredictor::new`] validation failures.
-    pub fn with_backend(
-        future_sessions: Vec<Session>,
-        backend: StorageBackend,
-    ) -> Result<Self, ProrpError> {
         Ok(OptimalEngine {
             oracle: OraclePredictor::new(future_sessions)?,
-            tracker: ActivityTracker::with_backend(backend),
+            tracker: ActivityTracker::new(),
             // The optimum holds no resources before the first session.
             state: DbState::PhysicallyPaused,
             active: false,
@@ -139,10 +126,6 @@ impl DatabasePolicy for OptimalEngine {
 
     fn history(&self) -> &HistoryBackend {
         self.tracker.history()
-    }
-
-    fn history_mut(&mut self) -> &mut HistoryBackend {
-        self.tracker.history_mut()
     }
 
     fn restore_history(&mut self, history: HistoryBackend) {

@@ -34,7 +34,7 @@ use crate::engine::{
 use crate::tracker::ActivityTracker;
 use prorp_forecast::Predictor;
 use prorp_obs::span::{DecisionAction, DecisionExplain};
-use prorp_storage::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryBackend, HistoryRead, HistoryStore};
 use prorp_types::{
     BreakerConfig, DbState, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp,
 };
@@ -110,26 +110,9 @@ impl<P: Predictor> ProactiveEngine<P> {
         predictor: P,
         breaker: BreakerConfig,
     ) -> Result<Self, ProrpError> {
-        Self::with_backend(config, predictor, breaker, StorageBackend::default())
-    }
-
-    /// Build an engine whose history lives in the given storage backend
-    /// (B+Tree or LSM).  Policy behaviour is backend-independent: the
-    /// same event sequence yields the same actions, predictions, and
-    /// counters on either engine.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation failures.
-    pub fn with_backend(
-        config: PolicyConfig,
-        predictor: P,
-        breaker: BreakerConfig,
-        backend: StorageBackend,
-    ) -> Result<Self, ProrpError> {
         config.validate()?;
         breaker.validate()?;
-        let mut tracker = ActivityTracker::with_backend(backend);
+        let mut tracker = ActivityTracker::new();
         if predictor.wants_slot_index() {
             tracker
                 .history_mut()
@@ -487,10 +470,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
 
     fn history(&self) -> &HistoryBackend {
         self.tracker.history()
-    }
-
-    fn history_mut(&mut self) -> &mut HistoryBackend {
-        self.tracker.history_mut()
     }
 
     fn restore_history(&mut self, history: HistoryBackend) {

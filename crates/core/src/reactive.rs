@@ -15,7 +15,7 @@ use crate::engine::{
     DatabasePolicy, EngineAction, EngineCounters, EngineEvent, PolicyKind, TimerToken,
 };
 use crate::tracker::ActivityTracker;
-use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryBackend, HistoryStore};
 use prorp_types::{DbState, EventKind, ProrpError, Seconds, Timestamp};
 
 /// The reactive per-database engine.
@@ -41,20 +41,6 @@ impl ReactiveEngine {
     ///
     /// Rejects non-positive durations.
     pub fn new(logical_pause: Seconds, history_len: Seconds) -> Result<Self, ProrpError> {
-        Self::with_backend(logical_pause, history_len, StorageBackend::default())
-    }
-
-    /// Build a reactive engine whose history lives in the given storage
-    /// backend (B+Tree or LSM); behaviour is identical either way.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-positive durations.
-    pub fn with_backend(
-        logical_pause: Seconds,
-        history_len: Seconds,
-        backend: StorageBackend,
-    ) -> Result<Self, ProrpError> {
         if logical_pause.as_secs() <= 0 || history_len.as_secs() <= 0 {
             return Err(ProrpError::InvalidConfig(format!(
                 "reactive engine requires positive durations, got l={logical_pause:?}, h={history_len:?}"
@@ -63,7 +49,7 @@ impl ReactiveEngine {
         Ok(ReactiveEngine {
             logical_pause,
             history_len,
-            tracker: ActivityTracker::with_backend(backend),
+            tracker: ActivityTracker::new(),
             state: DbState::Resumed,
             active: false,
             next_token: 0,
@@ -160,10 +146,6 @@ impl DatabasePolicy for ReactiveEngine {
 
     fn history(&self) -> &HistoryBackend {
         self.tracker.history()
-    }
-
-    fn history_mut(&mut self) -> &mut HistoryBackend {
-        self.tracker.history_mut()
     }
 
     fn restore_history(&mut self, history: HistoryBackend) {

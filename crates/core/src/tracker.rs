@@ -11,11 +11,9 @@
 //! must never observe a stale store.
 //!
 //! The tracker owns its history through the storage seam's
-//! [`HistoryBackend`] wrapper, so one tracker serves either the B+Tree
-//! or the LSM engine; [`ActivityTracker::with_backend`] picks the
-//! engine at construction.
+//! [`HistoryBackend`] wrapper.
 
-use prorp_storage::{HistoryBackend, HistoryStore, StorageBackend};
+use prorp_storage::{HistoryBackend, HistoryStore};
 use prorp_types::{ActivityEvent, EventKind, Timestamp};
 
 /// Buffered writer of activity events into a [`HistoryBackend`].
@@ -28,18 +26,9 @@ pub struct ActivityTracker {
 }
 
 impl ActivityTracker {
-    /// A tracker over an empty B+Tree-backed history (the default).
+    /// A tracker over an empty B+Tree-backed history.
     pub fn new() -> Self {
         ActivityTracker::default()
-    }
-
-    /// A tracker over an empty history of the given backend kind.
-    pub fn with_backend(kind: StorageBackend) -> Self {
-        ActivityTracker {
-            history: HistoryBackend::new(kind),
-            pending: Vec::new(),
-            duplicates_suppressed: 0,
-        }
     }
 
     /// Capture a precise event timestamp (critical path: O(1), no index
@@ -139,20 +128,5 @@ mod tests {
         assert_eq!(tr.pending_len(), 1);
         tr.flush();
         assert_eq!(tr.history().len(), 3);
-    }
-
-    #[test]
-    fn lsm_backed_tracker_behaves_identically() {
-        let mut a = ActivityTracker::with_backend(StorageBackend::BTree);
-        let mut b = ActivityTracker::with_backend(StorageBackend::Lsm);
-        for tr in [&mut a, &mut b] {
-            tr.record(t(10), EventKind::Start);
-            tr.record(t(10), EventKind::End);
-            tr.record(t(20), EventKind::End);
-            tr.flush();
-        }
-        assert_eq!(a.history().events(), b.history().events());
-        assert_eq!(a.history().version(), b.history().version());
-        assert_eq!(a.duplicates_suppressed(), b.duplicates_suppressed());
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! The naive reference performs `window_positions × periods_in_history`
 //! B-tree range scans per prediction (~5,700 at the Table 1 defaults).
-//! This implementation reads the two structures every history backend
-//! keeps current on every mutation instead:
+//! This implementation reads the two structures the history table keeps
+//! current on every mutation instead:
 //!
 //! * the **sorted login cache** ([`HistoryRead::logins`]): for each
 //!   seasonal period row the sweep keeps two monotone cursors — the
@@ -84,7 +84,7 @@ pub type SharedScratch = Rc<RefCell<SweepScratch>>;
 /// `now` — the naive implementation stays in the tree as the reference
 /// the differential oracles compare against.
 ///
-/// The predictor works on any [`HistoryRead`] backend; configuring the
+/// The predictor works on any [`HistoryRead`] store; configuring the
 /// store's slot index with the predictor's period (see
 /// [`configure_slot_index`](prorp_storage::HistoryStore::configure_slot_index))
 /// additionally enables the

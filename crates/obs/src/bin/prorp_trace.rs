@@ -30,8 +30,8 @@ commands:\n\
                        or before second t, with its recorded inputs\n\
                        (needs a trace recorded with explain enabled)\n\
   time-travel <db> <t> [knob=value ...]\n\
-                       replay the database's history into an LSM store,\n\
-                       snapshot it as of second t, and re-run Algorithm 4.\n\
+                       replay the database's logins up to second t into\n\
+                       a fresh history table and re-run Algorithm 4.\n\
                        knobs (over the Table 1 defaults): confidence=<0..1>,\n\
                        window=<s>, slide=<s>, history=<s>, horizon=<s>,\n\
                        logical-pause=<s>, seasonality=daily|weekly";

@@ -3,14 +3,14 @@
 //! A span trace records every customer login of every database
 //! ([`SpanKind::Login`] events carry the simulated login instant), which
 //! is exactly the input Algorithm 2 feeds into the history store: one
-//! tuple per login second.  Replaying a database's login events into the
-//! LSM backend therefore reconstructs the *full versioned history* the
-//! predictor consumed over the run — and because the LSM store maps
-//! applied-at timestamps to sequence numbers
-//! ([`prorp_storage::TimeTravel`]), a frozen
-//! [`snapshot_as_of(T)`](prorp_storage::TimeTravel::snapshot_as_of)
-//! yields the history exactly as the predictor saw it at any recorded
-//! prediction instant `T`.
+//! tuple per login second.  The history the predictor saw at instant `T`
+//! is therefore the set of logins at or before `T` — an `AS OF TIMESTAMP`
+//! filter over the trace.  [`replay_as_of`] inserts just those logins
+//! into a fresh §5 [`HistoryTable`] and predicts over it.  Because each
+//! database's trace is chronological, the table's mutation
+//! [`version`](HistoryTable::version) after the filtered replay is the
+//! sequence number a versioned store would read "as of T": one per
+//! distinct login second up to `T`.
 //!
 //! Algorithm 4 reads only login tuples inside windows that never reach
 //! behind the retention horizon (`lo >= now - h`), so a replay of the
@@ -19,15 +19,15 @@
 //! remove tuples the sweep never probes, and logout tuples are never
 //! counted by `login_window_stats`.
 //!
-//! This is the post-mortem loop the storage redesign exists for: pick a
-//! QoS miss from the trace, replay the database's history, and ask "what
-//! would Algorithm 4 have said as of the prediction instant before the
-//! miss?" — with the answer attributable to the exact tuples the
-//! predictor saw, not a reconstruction-by-eye.
+//! This is the post-mortem loop: pick a QoS miss from the trace, replay
+//! the database's history, and ask "what would Algorithm 4 have said as
+//! of the prediction instant before the miss?" — with the answer
+//! attributable to the exact tuples the predictor saw, not a
+//! reconstruction-by-eye.
 
 use crate::span::{PredictOutcome, SpanKind, TraceRecord};
 use prorp_forecast::ProbabilisticPredictor;
-use prorp_storage::{HistoryRead, LsmHistory, TimeTravel};
+use prorp_storage::HistoryTable;
 use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, Timestamp};
 
 /// Outcome of one time-travel replay.
@@ -35,16 +35,17 @@ use prorp_types::{DatabaseId, EventKind, PolicyConfig, Prediction, ProrpError, T
 pub struct TimeTravelReport {
     /// The database that was replayed.
     pub db: DatabaseId,
-    /// The instant the snapshot was frozen at.
+    /// The instant the history was cut off at.
     pub as_of: Timestamp,
-    /// Login events replayed into the LSM store (the whole trace, not
-    /// just those before `as_of` — the snapshot does the cut-off).
+    /// Login events of `db` in the trace (all of them, not just those
+    /// up to `as_of` — the timestamp filter does the cut-off).
     pub logins_replayed: usize,
-    /// Tuples visible in the frozen snapshot.
+    /// Tuples in the history as of `as_of`.
     pub snapshot_len: usize,
-    /// The sequence number the snapshot reads at.
+    /// The history's mutation version as of `as_of`: one per distinct
+    /// login second up to the cut-off.
     pub snapshot_seqno: u64,
-    /// What Algorithm 4 predicts over the snapshot at `as_of`.
+    /// What Algorithm 4 predicts over that history at `as_of`.
     pub prediction: Option<Prediction>,
     /// The last recorded predictor run at or before `as_of`, if the
     /// trace holds one: `(instant, outcome)`.
@@ -64,9 +65,9 @@ impl TimeTravelReport {
     }
 }
 
-/// Replay `db`'s login events from `records` into a fresh LSM history,
-/// freeze a snapshot as of `at`, and re-run the Algorithm 4 sweep over
-/// it with `config`'s knobs.
+/// Replay `db`'s login events at or before `at` from `records` into a
+/// fresh history table and re-run the Algorithm 4 sweep over it with
+/// `config`'s knobs.
 ///
 /// `records` may hold the whole fleet's trace; only `db`'s Login events
 /// are replayed (in canonical trace order, which is chronological per
@@ -75,8 +76,7 @@ impl TimeTravelReport {
 ///
 /// # Errors
 ///
-/// Propagates [`PolicyConfig`] validation failures and LSM write
-/// failures.
+/// Propagates [`PolicyConfig`] validation failures.
 pub fn replay_as_of(
     records: &[TraceRecord],
     db: DatabaseId,
@@ -84,7 +84,7 @@ pub fn replay_as_of(
     config: PolicyConfig,
 ) -> Result<TimeTravelReport, ProrpError> {
     let predictor = ProbabilisticPredictor::new(config)?;
-    let mut history = LsmHistory::new();
+    let mut history = HistoryTable::new();
     let mut timeline: Vec<&TraceRecord> = records.iter().filter(|r| r.db == db).collect();
     timeline.sort_by_key(|r| r.sort_key());
     let mut logins_replayed = 0;
@@ -93,9 +93,11 @@ pub fn replay_as_of(
         match r.kind {
             SpanKind::Login { .. } => {
                 // Algorithm 2: insert-if-not-exists, one tuple per login
-                // second.  The insert is logged at its event timestamp,
-                // so the seqno timeline mirrors the simulated clock.
-                history.insert_history(r.start, EventKind::Start);
+                // second — but only the logins the predictor could have
+                // seen at `at`.
+                if r.start <= at {
+                    history.insert_history(r.start, EventKind::Start);
+                }
                 logins_replayed += 1;
             }
             SpanKind::Predict { outcome } if r.start <= at => {
@@ -104,14 +106,13 @@ pub fn replay_as_of(
             _ => {}
         }
     }
-    let snapshot = history.snapshot_as_of(at);
-    let prediction = predictor.predict_at(&snapshot, at);
+    let prediction = predictor.predict_at(&history, at);
     Ok(TimeTravelReport {
         db,
         as_of: at,
         logins_replayed,
-        snapshot_len: snapshot.len(),
-        snapshot_seqno: snapshot.seqno(),
+        snapshot_len: history.len(),
+        snapshot_seqno: history.version(),
         prediction,
         recorded,
     })
@@ -121,7 +122,6 @@ pub fn replay_as_of(
 mod tests {
     use super::*;
     use crate::span::{TraceBuffer, TraceSink};
-    use prorp_storage::HistoryTable;
     use prorp_types::Seconds;
 
     const DAY: i64 = 86_400;
@@ -191,6 +191,28 @@ mod tests {
         assert_eq!(report.snapshot_len, 2, "snapshot ends at the cut-off");
         assert!(report.snapshot_seqno < 6);
         assert!(report.recorded.is_none(), "no predict span before day 2");
+    }
+
+    #[test]
+    fn seqno_counts_distinct_login_seconds_up_to_the_cut_off() {
+        // A snapshot at seqno k sees exactly the first k stored writes: a
+        // repeated login second stores nothing, and the cut-off is
+        // inclusive.
+        let mut buf = TraceBuffer::new();
+        for ts in [100, 100, 200, 300, 400] {
+            buf.event(
+                Timestamp(ts),
+                DatabaseId(1),
+                SpanKind::Login { available: true },
+            );
+        }
+        let records = buf.into_records();
+        for (at, seqno) in [(50, 0), (100, 1), (250, 2), (300, 3), (1_000, 4)] {
+            let report = replay_as_of(&records, DatabaseId(1), Timestamp(at), config()).unwrap();
+            assert_eq!(report.logins_replayed, 5);
+            assert_eq!(report.snapshot_seqno, seqno, "as of {at}");
+            assert_eq!(report.snapshot_len as u64, seqno, "as of {at}");
+        }
     }
 
     #[test]

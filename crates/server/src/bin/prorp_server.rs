@@ -4,11 +4,6 @@
 //! prorp-server serve  --dbs N --end SECS [--addr A] [--policy P] [--shards K] [--virtual]
 //! prorp-server replay --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
 //! prorp-server golden --trace FILE --end SECS [--policy P] [--shards K] [--step SECS]
-//!
-//! All commands also take `--storage btree|lsm` and `--compaction
-//! deterministic|background` (LSM only): the live driver runs the same
-//! per-shard compaction-scheduler lifecycle as the DES, so a background
-//! worker keeps physical LSM maintenance off the request path.
 //! ```
 //!
 //! * `serve` boots the HTTP API (wall clock by default, `--virtual` for
@@ -26,7 +21,7 @@
 
 use prorp_server::json::{self, Json};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
-use prorp_sim::{CompactionMode, SimConfig, SimPolicy, SimReport, Simulation, StorageBackend};
+use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};
 use prorp_workload::Trace;
 use std::collections::BTreeMap;
@@ -55,8 +50,6 @@ struct Options {
     step: i64,
     virtual_clock: bool,
     trace: Option<String>,
-    storage: StorageBackend,
-    compaction: CompactionMode,
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -69,8 +62,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         step: 3600,
         virtual_clock: false,
         trace: None,
-        storage: StorageBackend::default(),
-        compaction: CompactionMode::default(),
     };
     let mut i = 0;
     while i < args.len() {
@@ -89,20 +80,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--step" => o.step = value("--step")?.parse().map_err(|_| "bad --step")?,
             "--trace" => o.trace = Some(value("--trace")?),
             "--virtual" => o.virtual_clock = true,
-            "--storage" => {
-                o.storage = match value("--storage")?.as_str() {
-                    "btree" => StorageBackend::BTree,
-                    "lsm" => StorageBackend::Lsm,
-                    other => return Err(format!("unknown storage backend {other:?}")),
-                }
-            }
-            "--compaction" => {
-                o.compaction = match value("--compaction")?.as_str() {
-                    "deterministic" => CompactionMode::Deterministic,
-                    "background" => CompactionMode::Background,
-                    other => return Err(format!("unknown compaction mode {other:?}")),
-                }
-            }
             "--policy" => {
                 o.policy = match value("--policy")?.as_str() {
                     "reactive" => SimPolicy::Reactive,
@@ -131,8 +108,6 @@ fn config(o: &Options) -> Result<SimConfig, String> {
         Timestamp(0),
     )
     .shards(o.shards)
-    .storage_backend(o.storage)
-    .compaction_mode(o.compaction)
     .build()
     .map_err(|e| e.to_string())
 }
@@ -407,4 +382,22 @@ fn render(r: &SimReport) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn removed_storage_flags_are_rejected() {
+        assert!(parse_options(&args(&["--end", "60"])).is_ok());
+        for flag in ["--storage", "--compaction"] {
+            let err = parse_options(&args(&["--end", "60", flag, "btree"])).err();
+            assert_eq!(err, Some(format!("unknown flag {flag:?}")));
+        }
+    }
 }

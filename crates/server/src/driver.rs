@@ -35,7 +35,7 @@
 //! which a live driver by definition does not have.
 
 use prorp_core::EngineCounters;
-use prorp_obs::{evaluate_alerts, Alert, DecisionExplain, SloSeries};
+use prorp_obs::{evaluate_alerts, Alert, DecisionExplain, MetricsSnapshot, SloSeries};
 use prorp_sim::events::SimEvent;
 use prorp_sim::{merge_outcomes, ShardDriver, SimConfig, SimPolicy, SimReport};
 use prorp_telemetry::{IncidentEntry, IncidentLog};
@@ -238,19 +238,20 @@ impl LiveDriver {
         .to_vec()
     }
 
-    /// A live Prometheus snapshot at the watermark, shard-local texts
-    /// concatenated with a `shard` label comment per block; `None` when
-    /// observability is disabled.
+    /// A live Prometheus snapshot at the watermark: the shard-local
+    /// snapshots merged with the same integer sums the DES report merge
+    /// uses and rendered once, so every metric family appears exactly
+    /// once at any shard count.  `None` when observability is disabled.
     pub fn prometheus_text(&self) -> Option<String> {
-        let mut out = String::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let snap = s.metrics_snapshot(self.watermark)?;
-            if self.shards.len() > 1 {
-                out.push_str(&format!("# shard {i}\n"));
-            }
-            out.push_str(&prorp_obs::prometheus_text(&snap));
-        }
-        Some(out)
+        let parts = self
+            .shards
+            .iter()
+            .map(|s| s.metrics_snapshot(self.watermark).map(|snap| vec![snap]))
+            .collect::<Option<Vec<_>>>()?;
+        // Every shard shares one config and one watermark, so the merge
+        // cannot fail.
+        let merged = MetricsSnapshot::merge(parts).ok()?.pop()?;
+        Some(prorp_obs::prometheus_text(&merged))
     }
 
     /// The fleet SLO rollup so far: the shard-local series merged with
@@ -476,6 +477,58 @@ mod tests {
             }),
             IngestOutcome::Accepted
         );
+    }
+
+    #[test]
+    fn multi_shard_metrics_render_each_family_once() {
+        let observed = |shards: usize| {
+            let cfg = SimConfig::builder(
+                SimPolicy::Proactive(prorp_types::PolicyConfig::default()),
+                Timestamp(0),
+                Timestamp(Seconds::days(2).as_secs()),
+                Timestamp(0),
+            )
+            .shards(shards)
+            .observe(prorp_obs::ObsConfig::on())
+            .build()
+            .expect("test config validates");
+            let mut d = LiveDriver::new(&cfg, &ids(6)).unwrap();
+            for db in 0..6 {
+                for (at, kind) in [(100, LiveEventKind::Login), (900, LiveEventKind::Logout)] {
+                    d.ingest(LiveEvent {
+                        db: DatabaseId(db),
+                        at: Timestamp(at + 10 * db as i64),
+                        kind,
+                    });
+                }
+            }
+            d.advance_to(Timestamp(Seconds::hours(9).as_secs()))
+                .unwrap();
+            d.prometheus_text().expect("observability is on")
+        };
+        let two = observed(2);
+        let mut families: Vec<&str> = two
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .map(|l| l.split_whitespace().next().unwrap())
+            .collect();
+        let total = families.len();
+        assert!(total > 0, "{two}");
+        families.sort_unstable();
+        families.dedup();
+        assert_eq!(families.len(), total, "a # TYPE family repeats:\n{two}");
+        assert!(two
+            .lines()
+            .all(|l| !l.starts_with('#') || l.starts_with("# TYPE ")));
+        // The merged exposition is the single-shard one, volatile
+        // self-observations aside.
+        let deterministic = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| !l.contains("sim_self_"))
+                .map(str::to_owned)
+                .collect()
+        };
+        assert_eq!(deterministic(&two), deterministic(&observed(1)));
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! field, so a hand-mutated config cannot bypass its validation.
 
 use prorp_obs::ObsConfig;
-use prorp_storage::{CompactionMode, StorageBackend};
 use prorp_telemetry::TelemetryMode;
 use prorp_types::{
     BreakerConfig, FaultConfig, PolicyConfig, ProrpError, RetryPolicy, Seconds, Timestamp,
@@ -92,21 +91,6 @@ pub struct SimConfig {
     /// prediction index.  The two are bit-identical in behaviour — this
     /// knob exists for A/B benchmarking and differential testing.
     pub naive_predictor: bool,
-    /// Which storage engine backs every database's activity history
-    /// (B+Tree default, or the LSM/MVCC engine).  Policy behaviour is
-    /// backend-independent — same trace and seed yield bit-identical
-    /// KPIs — so this knob exists for A/B benchmarking and differential
-    /// testing of the storage seam.
-    pub storage_backend: StorageBackend,
-    /// Where LSM compaction work runs: inline at each flush
-    /// ([`CompactionMode::Deterministic`], the default) or on a
-    /// per-shard scheduler worker ([`CompactionMode::Background`]) so
-    /// the event-loop path only enqueues.  Final state and KPIs are
-    /// bit-identical across the two modes — the shard driver barriers
-    /// and detaches every store before collecting results — so this
-    /// knob only moves *where* the compaction wall time is spent.
-    /// Ignored on the B+Tree backend.
-    pub compaction_mode: CompactionMode,
     /// Number of simulation shards (worker threads).  Databases are
     /// partitioned by id-hash ([`prorp_types::DatabaseId::shard_of`]) and
     /// each shard runs its own event loop on its own cluster slice;
@@ -161,8 +145,6 @@ impl SimConfig {
             maintenance_deadline: Seconds::hours(24),
             seed: 0,
             naive_predictor: false,
-            storage_backend: StorageBackend::default(),
-            compaction_mode: CompactionMode::default(),
             shards: 1,
             telemetry_mode: TelemetryMode::Full,
             fault: FaultConfig::default(),
@@ -362,21 +344,6 @@ impl SimConfigBuilder {
     /// prediction index (bit-identical behaviour; A/B benchmarking).
     pub fn naive_predictor(mut self, v: bool) -> Self {
         self.cfg.naive_predictor = v;
-        self
-    }
-
-    /// Storage engine backing every database's activity history
-    /// (bit-identical behaviour across backends; A/B benchmarking and
-    /// differential testing).
-    pub fn storage_backend(mut self, v: StorageBackend) -> Self {
-        self.cfg.storage_backend = v;
-        self
-    }
-
-    /// Where LSM compaction runs (inline-deterministic or on a per-shard
-    /// background worker; bit-identical final state either way).
-    pub fn compaction_mode(mut self, v: CompactionMode) -> Self {
-        self.cfg.compaction_mode = v;
         self
     }
 

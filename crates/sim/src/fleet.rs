@@ -277,20 +277,12 @@ impl EngineArena {
     ) -> Result<(), ProrpError> {
         let breaker = cfg.fault().breaker;
         let fail_every = cfg.fault().forecast_fail_every.map(u64::from);
-        let backend = cfg.storage_backend;
         match self {
             EngineArena::Reactive(v) => {
-                v.push(ReactiveEngine::with_backend(
-                    Seconds::hours(7),
-                    Seconds::days(28),
-                    backend,
-                )?);
+                v.push(ReactiveEngine::new(Seconds::hours(7), Seconds::days(28))?);
             }
             EngineArena::Optimal(v) => {
-                v.push(OptimalEngine::with_backend(
-                    trace.sessions.clone(),
-                    backend,
-                )?);
+                v.push(OptimalEngine::new(trace.sessions.clone())?);
             }
             EngineArena::Incremental(v) => {
                 let SimPolicy::Proactive(pc) = &cfg.policy else {
@@ -301,9 +293,7 @@ impl EngineArena {
                     ConfidenceBasis::Windows,
                     scratch.clone(),
                 )?;
-                v.push(ProactiveEngine::with_backend(
-                    *pc, predictor, breaker, backend,
-                )?);
+                v.push(ProactiveEngine::with_breaker(*pc, predictor, breaker)?);
             }
             EngineArena::IncrementalFaulty(v) => {
                 let SimPolicy::Proactive(pc) = &cfg.policy else {
@@ -315,22 +305,20 @@ impl EngineArena {
                     scratch.clone(),
                 )?;
                 let n = fail_every.expect("faulty variant requires forecast_fail_every");
-                v.push(ProactiveEngine::with_backend(
+                v.push(ProactiveEngine::with_breaker(
                     *pc,
                     FailEvery::new(predictor, n),
                     breaker,
-                    backend,
                 )?);
             }
             EngineArena::Naive(v) => {
                 let SimPolicy::Proactive(pc) = &cfg.policy else {
                     unreachable!("arena variant chosen from cfg.policy");
                 };
-                v.push(ProactiveEngine::with_backend(
+                v.push(ProactiveEngine::with_breaker(
                     *pc,
                     ProbabilisticPredictor::new(*pc)?,
                     breaker,
-                    backend,
                 )?);
             }
             EngineArena::NaiveFaulty(v) => {
@@ -338,11 +326,10 @@ impl EngineArena {
                     unreachable!("arena variant chosen from cfg.policy");
                 };
                 let n = fail_every.expect("faulty variant requires forecast_fail_every");
-                v.push(ProactiveEngine::with_backend(
+                v.push(ProactiveEngine::with_breaker(
                     *pc,
                     FailEvery::new(ProbabilisticPredictor::new(*pc)?, n),
                     breaker,
-                    backend,
                 )?);
             }
         }

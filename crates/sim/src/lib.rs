@@ -64,7 +64,6 @@ pub use diagnostics::{DiagnosticsRunner, Mitigation};
 pub use fleet::{BitSet, DbIndexMap};
 pub use obs::DiagnosticsMetrics;
 pub use prorp_obs::ObsConfig;
-pub use prorp_storage::{CompactionMode, StorageBackend};
 pub use prorp_telemetry::{TelemetryMode, TelemetrySummary};
 pub use runner::{merge_outcomes, SimReport, Simulation};
 pub use shard::{partition_fleet, ShardDriver, ShardOutcome};

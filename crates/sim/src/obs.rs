@@ -81,12 +81,6 @@ pub(crate) struct SelfObservations {
     pub register_micros: u64,
     /// Wall-clock micros of the event-loop phase so far.
     pub run_micros: u64,
-    /// Micros the shard's mutation paths spent blocked on inline LSM
-    /// compaction (0 on B+Tree and in background mode).
-    pub compaction_stall_micros: u64,
-    /// Micros of LSM compaction done off the hot path by the scheduler
-    /// worker (0 outside background mode).
-    pub offloaded_compaction_micros: u64,
 }
 
 /// All observability state of one shard: trace buffer, metrics registry,
@@ -160,8 +154,6 @@ impl ShardObs {
         registry.gauge("sim_self_wall_clock_micros");
         registry.gauge("sim_self_register_micros");
         registry.gauge("sim_self_run_micros");
-        registry.gauge("sim_self_compaction_stall_micros");
-        registry.gauge("sim_self_offloaded_compaction_micros");
         ShardObs {
             trace: TraceBuffer::new(),
             trace_spans: cfg.trace_spans,
@@ -502,12 +494,6 @@ impl ShardObs {
         self.registry
             .gauge("sim_self_run_micros")
             .set(stats.run_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_compaction_stall_micros")
-            .set(stats.compaction_stall_micros.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge("sim_self_offloaded_compaction_micros")
-            .set(stats.offloaded_compaction_micros.min(i64::MAX as u64) as i64);
         self.snapshots.push(self.registry.snapshot(at));
     }
 
@@ -710,8 +696,6 @@ mod tests {
                 workflows_in_flight: 2,
                 register_micros: 1_000,
                 run_micros: 11_000,
-                compaction_stall_micros: 9,
-                offloaded_compaction_micros: 90,
             },
         );
         let report = obs.finish();
@@ -726,15 +710,13 @@ mod tests {
             Some(2)
         );
         assert_eq!(
-            snap.get("sim_self_compaction_stall_micros")
-                .unwrap()
-                .as_gauge(),
-            Some(9)
+            snap.get("sim_self_run_micros").unwrap().as_gauge(),
+            Some(11_000)
         );
         // The volatile gauges vanish from the deterministic surface.
         let det = snap.deterministic();
         assert!(det.get("sim_self_wall_clock_micros").is_none());
-        assert!(det.get("sim_self_offloaded_compaction_micros").is_none());
+        assert!(det.get("sim_self_register_micros").is_none());
         assert!(det.get("prorp_workflows_in_flight").is_some());
     }
 }

@@ -55,8 +55,7 @@ use prorp_core::{
 use prorp_forecast::SweepScratch;
 use prorp_obs::ObsReport;
 use prorp_storage::{
-    backup_history, restore_backend, CompactionMode, CompactionScheduler, HistoryRead,
-    MetadataStore, StorageBackend, StorageStats,
+    backup_history, restore_history, HistoryBackend, HistoryRead, MetadataStore, StorageStats,
 };
 use prorp_telemetry::{
     IncidentKind, IncidentLog, SegmentAccumulator, SegmentKind, ShardCounters, TelemetryKind,
@@ -255,13 +254,6 @@ pub struct ShardDriver {
     fleet: FleetState,
     balance_moves_history: u64,
     control_seeded: bool,
-    /// The shard's LSM compaction worker, present only when the config
-    /// asks for `CompactionMode::Background` on the LSM backend.  Every
-    /// registered (and restored) store is attached to it; `finish()`
-    /// detaches them all — a barrier that folds the worker's effort back
-    /// into each store — before any stats are collected, which is what
-    /// keeps reports bit-identical across compaction modes.
-    compactor: Option<CompactionScheduler>,
     /// When the last `register()` call returned — the boundary between
     /// the registration and event-loop phases in the volatile wall-time
     /// breakdown.
@@ -308,9 +300,6 @@ impl ShardDriver {
             fleet: FleetState::with_capacity(cfg, expected_dbs),
             balance_moves_history: 0,
             control_seeded: false,
-            compactor: (cfg.compaction_mode == CompactionMode::Background
-                && cfg.storage_backend == StorageBackend::Lsm)
-                .then(CompactionScheduler::new),
             register_done: None,
             cfg: cfg.clone(),
         })
@@ -334,16 +323,6 @@ impl ShardDriver {
         }
         let cfg = &self.cfg;
         self.fleet.push(cfg, trace, &self.scratch)?;
-        if let Some(sched) = &self.compactor {
-            // Background mode: the fresh store's compaction moves to the
-            // shard's worker; the event loop will only enqueue flushes.
-            let idx = self.fleet.len() - 1;
-            self.fleet
-                .engines
-                .get_mut(idx)
-                .history_mut()
-                .attach_compaction(sched);
-        }
         if cfg.observe().explain {
             // Decision provenance is captured inside the engine (it owns
             // the inputs — forecast, breaker, cache) and drained into the
@@ -543,7 +522,6 @@ impl ShardDriver {
             SimEvent::ObsSnapshot => {
                 if self.obs.is_some() {
                     let register_end = self.register_done.unwrap_or(self.started);
-                    let (stall_ns, offloaded_ns) = self.compaction_ns();
                     let observations = SelfObservations {
                         events_processed: self.counters.events_processed,
                         telemetry_events: self.telemetry.len() as u64,
@@ -554,8 +532,6 @@ impl ShardDriver {
                         register_micros: register_end.duration_since(self.started).as_micros()
                             as u64,
                         run_micros: register_end.elapsed().as_micros() as u64,
-                        compaction_stall_micros: stall_ns / 1_000,
-                        offloaded_compaction_micros: offloaded_ns / 1_000,
                     };
                     if let Some(o) = self.obs.as_mut() {
                         o.take_snapshot(now, observations);
@@ -965,17 +941,8 @@ impl ShardDriver {
                     // destination node.
                     let idx = self.fleet.index_of(moved);
                     let bytes = backup_history(self.fleet.engines.get(idx).history())?;
-                    let restored = restore_backend(&bytes, cfg.storage_backend)?;
+                    let restored = HistoryBackend::BTree(restore_history(&bytes)?);
                     self.fleet.engines.get_mut(idx).restore_history(restored);
-                    if let Some(sched) = &self.compactor {
-                        // The restored store arrives in inline mode;
-                        // re-attach it so background compaction resumes.
-                        self.fleet
-                            .engines
-                            .get_mut(idx)
-                            .history_mut()
-                            .attach_compaction(sched);
-                    }
                     self.telemetry.record(now, moved, TelemetryKind::Move);
                     if let Some(o) = self.obs.as_mut() {
                         o.on_move_with_history(now, moved, bytes.len() as u64);
@@ -1039,20 +1006,6 @@ impl ShardDriver {
         Ok(())
     }
 
-    /// Sum of (inline stall, offloaded worker) compaction wall-clock
-    /// nanoseconds across the shard's engines.  Volatile diagnostics:
-    /// these measure the simulator process, never the simulated world.
-    fn compaction_ns(&self) -> (u64, u64) {
-        let mut stall = 0u64;
-        let mut offloaded = 0u64;
-        for idx in 0..self.fleet.len() {
-            let h = self.fleet.engines.get(idx).history();
-            stall += h.compaction_stall_ns();
-            offloaded += h.offloaded_compaction_ns();
-        }
-        (stall, offloaded)
-    }
-
     /// Close the books: final segment accounting, invariant audits, the
     /// aligned end-of-run observability snapshot, and the mergeable
     /// [`ShardOutcome`].
@@ -1065,23 +1018,6 @@ impl ShardDriver {
 
         let cfg = &self.cfg;
         debug_assert_eq!(self.balance_moves_history, self.cluster.balance_moves);
-
-        // Background compaction barrier: fold every worker's effort back
-        // into its store and return to inline mode BEFORE any stats or
-        // invariant collection, so reports are bit-identical across
-        // compaction modes.  Dropping the scheduler joins the worker.
-        if self.compactor.take().is_some() {
-            for idx in 0..self.fleet.len() {
-                self.fleet
-                    .engines
-                    .get_mut(idx)
-                    .history_mut()
-                    .detach_compaction();
-            }
-        }
-        let (stall_ns, offloaded_ns) = self.compaction_ns();
-        self.counters.compaction_stall_micros = stall_ns / 1_000;
-        self.counters.offloaded_compaction_micros = offloaded_ns / 1_000;
 
         // Close the books.
         let mut db_results: Vec<(DatabaseId, SegmentAccumulator, EngineCounters, StorageStats)> =
@@ -1135,8 +1071,6 @@ impl ShardDriver {
                     workflows_in_flight: self.diagnostics.in_flight_count(),
                     register_micros: self.counters.register_micros,
                     run_micros: self.counters.run_micros,
-                    compaction_stall_micros: self.counters.compaction_stall_micros,
-                    offloaded_compaction_micros: self.counters.offloaded_compaction_micros,
                 },
             );
             o.finish()

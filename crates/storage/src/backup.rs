@@ -11,9 +11,8 @@
 //! `page_count` raw 8-KiB page images.
 
 use crate::history::HistoryTable;
-use crate::lsm::LsmHistory;
 use crate::page::{self, Record, PAGE_SIZE};
-use crate::store::{HistoryBackend, HistoryRead, StorageBackend};
+use crate::store::HistoryRead;
 use bytes::{Buf, BufMut, BytesMut};
 use prorp_types::ProrpError;
 
@@ -26,10 +25,8 @@ pub const BACKUP_HEADER_SIZE: usize = 16;
 
 /// Serialise a history store into a self-describing backup stream.
 ///
-/// The stream is *backend-independent*: it serialises the visible
-/// events in key order, so a B+Tree table and an LSM store holding the
-/// same history produce byte-identical backups, and either side can
-/// restore from the other's stream.
+/// The stream serialises the visible events in key order, so any
+/// [`HistoryRead`] holding the same history produces the same bytes.
 pub fn backup_history<H: HistoryRead + ?Sized>(table: &H) -> Result<Vec<u8>, ProrpError> {
     let records: Vec<Record> = table
         .events()
@@ -59,24 +56,6 @@ pub fn backup_history<H: HistoryRead + ?Sized>(table: &H) -> Result<Vec<u8>, Pro
 /// unsupported version, or page-level corruption.
 pub fn restore_history(stream: &[u8]) -> Result<HistoryTable, ProrpError> {
     HistoryTable::from_records(&decode_records(stream)?)
-}
-
-/// Rebuild a history store of the requested backend kind from a backup
-/// stream — the restore half of the pluggable-storage seam.  Either
-/// backend restores from any stream (the format is backend-independent)
-/// with the shared restore contract: mutation version reset to 0, slot
-/// index unconfigured.
-///
-/// # Errors
-///
-/// Returns [`ProrpError::Storage`] on truncated input, bad magic, an
-/// unsupported version, or page-level corruption.
-pub fn restore_backend(stream: &[u8], kind: StorageBackend) -> Result<HistoryBackend, ProrpError> {
-    let records = decode_records(stream)?;
-    Ok(match kind {
-        StorageBackend::BTree => HistoryBackend::BTree(HistoryTable::from_records(&records)?),
-        StorageBackend::Lsm => HistoryBackend::Lsm(LsmHistory::from_records(&records)?),
-    })
 }
 
 /// Validate a backup stream's framing and decode its page records.
@@ -173,32 +152,23 @@ mod tests {
     }
 
     #[test]
-    fn backup_bytes_are_backend_independent() {
-        let mut lsm = LsmHistory::new();
-        let mut btree = HistoryTable::new();
+    fn trimmed_table_restores_with_version_reset() {
+        let mut table = HistoryTable::new();
         for i in 0..300 {
             let kind = if i % 3 == 0 {
                 EventKind::Start
             } else {
                 EventKind::End
             };
-            lsm.insert_history(Timestamp(i * 61), kind);
-            btree.insert_history(Timestamp(i * 61), kind);
+            table.insert_history(Timestamp(i * 61), kind);
         }
-        lsm.delete_old_history(prorp_types::Seconds(5_000), Timestamp(300 * 61));
-        btree.delete_old_history(prorp_types::Seconds(5_000), Timestamp(300 * 61));
-        let a = backup_history(&lsm).unwrap();
-        let b = backup_history(&btree).unwrap();
-        assert_eq!(a, b, "same history must serialise to the same bytes");
-        // Cross-restore: either backend restores either stream.
-        let as_lsm = restore_backend(&b, StorageBackend::Lsm).unwrap();
-        let as_btree = restore_backend(&a, StorageBackend::BTree).unwrap();
-        assert_eq!(as_lsm.events(), as_btree.events());
-        assert_eq!(as_lsm.logins(), as_btree.logins());
-        assert_eq!(as_lsm.version(), 0);
-        assert_eq!(as_btree.version(), 0);
-        assert_eq!(as_lsm.kind(), StorageBackend::Lsm);
-        assert_eq!(as_btree.kind(), StorageBackend::BTree);
+        table.delete_old_history(prorp_types::Seconds(5_000), Timestamp(300 * 61));
+        let stream = backup_history(&table).unwrap();
+        let restored = restore_history(&stream).unwrap();
+        assert_eq!(restored.events(), table.events());
+        assert_eq!(restored.logins(), table.logins());
+        assert_eq!(restored.version(), 0);
+        assert_eq!(backup_history(&restored).unwrap(), stream);
     }
 
     #[test]

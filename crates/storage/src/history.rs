@@ -85,8 +85,8 @@ impl SlotIndex {
         })
     }
 
-    /// Rebuild from a sorted login cache (shared with the LSM backend).
-    pub(crate) fn rebuilt(period: Seconds, slot_len: Seconds, logins: &[i64]) -> Option<SlotIndex> {
+    /// Rebuild from a sorted login cache.
+    fn rebuilt(period: Seconds, slot_len: Seconds, logins: &[i64]) -> Option<SlotIndex> {
         let mut ix = SlotIndex::new(period, slot_len)?;
         for &t in logins {
             ix.add(t);
@@ -113,14 +113,14 @@ impl SlotIndex {
         (ts.rem_euclid(self.period) / self.slot_len) as usize
     }
 
-    pub(crate) fn add(&mut self, ts: i64) {
+    fn add(&mut self, ts: i64) {
         let s = self.slot_of(ts);
         self.counts[s] += 1;
         self.words[s / 64] |= 1 << (s % 64);
         self.total += 1;
     }
 
-    pub(crate) fn remove(&mut self, ts: i64) {
+    fn remove(&mut self, ts: i64) {
         let s = self.slot_of(ts);
         self.counts[s] = self.counts[s]
             .checked_sub(1)

@@ -25,18 +25,15 @@
 //!   Algorithm 2/3 mutation is logged before it is applied, and crash
 //!   recovery replays the log tail over the last backup image.
 //!
-//! # Pluggable storage
+//! # The storage seam
 //!
-//! The [`store`] module is the trait seam over this machinery:
-//! [`HistoryRead`] (the object-safe read surface predictors consume)
-//! and [`HistoryStore`] (the Algorithm 2/3 mutation surface), with
-//! [`HistoryBackend`] as the enum-dispatch wrapper engines hold and
-//! [`StorageBackend`] as the fleet-wide knob.  Two engines implement
-//! the seam: the B+Tree [`HistoryTable`] (default) and the [`lsm`]
-//! module's [`LsmHistory`] — an LSM/MVCC tree whose monotonic seqnos
-//! power [`snapshot`](lsm::LsmHistory::snapshot) frozen views and the
-//! [`TimeTravel`] timestamp → seqno mapping for "as of T" post-mortems.
-//! Both backends are held to bit-identical observable behaviour.
+//! The [`store`] module splits the table's surface into [`HistoryRead`]
+//! (the object-safe read surface predictors consume) and
+//! [`HistoryStore`] (the Algorithm 2/3 mutation surface), with
+//! [`HistoryBackend`] as the wrapper the engines hold.  The B+Tree
+//! [`HistoryTable`] is the one implementation; "as of T" post-mortems
+//! rebuild a table from the trace's logins up to T instead of keeping
+//! old versions around.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,19 +41,14 @@
 pub mod backup;
 pub mod btree;
 pub mod history;
-pub mod lsm;
 pub mod metadata;
 pub mod page;
 pub mod store;
 pub mod wal;
 
-pub use backup::{backup_history, restore_backend, restore_history};
+pub use backup::{backup_history, restore_history};
 pub use btree::BTree;
 pub use history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
-pub use lsm::{
-    CompactionMode, CompactionScheduler, LsmConfig, LsmHistory, LsmMetrics, LsmSnapshot,
-    RangeTombstone, TimeTravel,
-};
 pub use metadata::{DbMeta, MetadataStore};
 pub use store::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
 pub use wal::{DurableHistory, WalRecord, WriteAheadLog};

@@ -1,37 +1,28 @@
-//! The storage-engine trait seam and backend dispatch.
+//! The storage-engine trait seam.
 //!
-//! Until this module existed, `HistoryTable` was a concrete struct wired
-//! directly into the policy engines, the predictors, and the simulator
-//! arena — no alternative history backend could exist.  The seam splits
-//! the table's surface into two traits:
+//! The policy engines, the predictors and the simulator arena reach the
+//! §5 history table only through two traits:
 //!
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
 //!   incremental prediction index consume (window aggregates, the sorted
 //!   login cache, the optional slot-occupancy index, the mutation
-//!   version).  Frozen views such as [`crate::lsm::LsmSnapshot`]
-//!   implement only this half.
+//!   version).
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
 //!   the slot-index and invariant hooks the engines call.
 //!
-//! [`HistoryBackend`] is the enum-dispatch wrapper the engines actually
-//! store: one variant per backend, so per-database state stays `Clone`
-//! and allocation-free to switch on, and the simulator can flip the
-//! whole fleet between the B+Tree and LSM engines with one
-//! [`StorageBackend`] knob.  Both backends promise *bit-identical
-//! observable behaviour* — same insert/trim outcomes, same window
-//! aggregates, same mutation version after every call — which the
-//! testkit's `storage_conformance` differential oracles enforce.
+//! [`HistoryBackend`] is the wrapper the engines actually store; its one
+//! variant holds the B+Tree [`HistoryTable`].
 
 use crate::history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
-use crate::lsm::LsmHistory;
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
 /// Read surface of a history store — everything Algorithm 4, the
 /// incremental prediction index, and the backup path consume.
 ///
 /// The trait is object-safe on purpose: predictors take
-/// `&dyn HistoryRead`, so one compiled predictor body serves the live
-/// B+Tree table, the live LSM store, and a frozen LSM snapshot alike.
+/// `&dyn HistoryRead`, so one compiled predictor body serves the
+/// engine's [`HistoryBackend`] and a bare [`HistoryTable`] alike (the
+/// time-travel replay predicts over the latter).
 pub trait HistoryRead {
     /// `MIN`/`MAX` of login (`event_type = 1`) timestamps inside the
     /// closed window `[lo, hi]` (Algorithm 4 lines 19–24); `None` when
@@ -81,10 +72,7 @@ pub trait HistoryRead {
     /// All visible events in timestamp order.
     fn events(&self) -> Vec<ActivityEvent>;
 
-    /// Storage-overhead statistics (Figure 10a–b).  Physical figures
-    /// (pages, index depth) are backend-specific; only the logical
-    /// figures (`tuples`, `logical_bytes`) are comparable across
-    /// backends.
+    /// Storage-overhead statistics (Figure 10a–b).
     fn stats(&self) -> StorageStats;
 }
 
@@ -115,16 +103,13 @@ pub trait HistoryStore: HistoryRead {
     fn check_invariants(&self);
 }
 
-/// Which history storage engine a fleet runs on — the
-/// `SimConfig::builder().storage_backend(..)` knob.
+/// Which history storage engine a store runs on.  The §5 B+Tree is the
+/// only one.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum StorageBackend {
-    /// The clustered slotted-page B+Tree of §5 (the default).
+    /// The clustered slotted-page B+Tree of §5.
     #[default]
     BTree,
-    /// The LSM/MVCC engine with snapshot time-travel
-    /// ([`crate::lsm::LsmHistory`]).
-    Lsm,
 }
 
 impl StorageBackend {
@@ -132,28 +117,18 @@ impl StorageBackend {
     pub const fn label(self) -> &'static str {
         match self {
             StorageBackend::BTree => "btree",
-            StorageBackend::Lsm => "lsm",
         }
     }
 }
 
-/// Enum-dispatch wrapper over the concrete history backends.
-///
-/// The policy engines store one of these per database: static dispatch
-/// (no boxed trait objects in the million-database arena) and `Clone`
-/// for the rebalance/backup paths.  The whole surface lives on the
-/// [`HistoryRead`] + [`HistoryStore`] trait impls — import the traits
-/// to call it (the PR 7 inherent mirror API has been removed).
-/// A fleet runs one backend for every database, so the arena pays the
-/// larger variant's footprint only when it actually uses the LSM —
-/// boxing it would put a pointer chase on every history read instead.
-#[allow(clippy::large_enum_variant)]
+/// The history store each policy engine holds, `Clone` for the
+/// rebalance/backup paths.  The whole surface lives on the
+/// [`HistoryRead`] + [`HistoryStore`] trait impls — import the traits to
+/// call it.
 #[derive(Clone, Debug)]
 pub enum HistoryBackend {
-    /// B+Tree-backed [`HistoryTable`] (the §5 default).
+    /// B+Tree-backed [`HistoryTable`] (§5).
     BTree(HistoryTable),
-    /// LSM/MVCC [`LsmHistory`] with snapshot time-travel.
-    Lsm(LsmHistory),
 }
 
 impl Default for HistoryBackend {
@@ -162,202 +137,140 @@ impl Default for HistoryBackend {
     }
 }
 
-macro_rules! dispatch {
-    ($self:ident, $table:ident => $body:expr) => {
-        match $self {
-            HistoryBackend::BTree($table) => $body,
-            HistoryBackend::Lsm($table) => $body,
-        }
-    };
-}
-
 impl HistoryBackend {
     /// An empty store of the given backend kind.
     pub fn new(kind: StorageBackend) -> Self {
         match kind {
             StorageBackend::BTree => HistoryBackend::BTree(HistoryTable::new()),
-            StorageBackend::Lsm => HistoryBackend::Lsm(LsmHistory::new()),
         }
     }
 
-    /// Which backend this store runs on.
-    pub fn kind(&self) -> StorageBackend {
+    fn table(&self) -> &HistoryTable {
         match self {
-            HistoryBackend::BTree(_) => StorageBackend::BTree,
-            HistoryBackend::Lsm(_) => StorageBackend::Lsm,
+            HistoryBackend::BTree(t) => t,
         }
     }
 
-    /// Hand compaction to a scheduler worker (LSM only; the B+Tree
-    /// backend has no compaction and ignores the call).
-    pub fn attach_compaction(&mut self, sched: &crate::lsm::CompactionScheduler) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.attach_scheduler(sched);
-        }
-    }
-
-    /// Barrier + fold + return to inline compaction (no-op on the
-    /// B+Tree backend or an already-inline LSM store).  Shard drivers
-    /// call this before collecting final stats so figures are
-    /// deterministic across compaction modes.
-    pub fn detach_compaction(&mut self) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.detach_compaction();
-        }
-    }
-
-    /// Block until every enqueued flush has been compacted, staying
-    /// attached (no-op outside background LSM mode) — the conformance
-    /// suite's explicit barrier point.
-    pub fn compaction_barrier(&mut self) {
-        if let HistoryBackend::Lsm(store) = self {
-            store.compaction_barrier();
-        }
-    }
-
-    /// Wall-clock nanoseconds the mutation path spent blocked on
-    /// compaction work (0 on the B+Tree backend, which has none).
-    pub fn compaction_stall_ns(&self) -> u64 {
+    fn table_mut(&mut self) -> &mut HistoryTable {
         match self {
-            HistoryBackend::BTree(_) => 0,
-            HistoryBackend::Lsm(store) => store.compaction_stall_ns(),
-        }
-    }
-
-    /// Wall-clock nanoseconds of compaction performed off the hot path
-    /// by a scheduler worker (0 outside background LSM mode).
-    pub fn offloaded_compaction_ns(&self) -> u64 {
-        match self {
-            HistoryBackend::BTree(_) => 0,
-            HistoryBackend::Lsm(store) => store.offloaded_compaction_ns(),
+            HistoryBackend::BTree(t) => t,
         }
     }
 }
 
 impl HistoryRead for HistoryBackend {
     fn first_last_login_in(&self, lo: Timestamp, hi: Timestamp) -> Option<(Timestamp, Timestamp)> {
-        dispatch!(self, t => t.first_last_login_in(lo, hi))
+        self.table().first_last_login_in(lo, hi)
     }
     fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-        dispatch!(self, t => t.count_logins_in(lo, hi))
+        self.table().count_logins_in(lo, hi)
     }
     fn login_window_stats(
         &self,
         lo: Timestamp,
         hi: Timestamp,
     ) -> Option<(Timestamp, Timestamp, i64)> {
-        dispatch!(self, t => t.login_window_stats(lo, hi))
+        self.table().login_window_stats(lo, hi)
     }
     fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-        dispatch!(self, t => t.any_event_in(lo, hi))
+        self.table().any_event_in(lo, hi)
     }
     fn min_timestamp(&self) -> Option<Timestamp> {
-        dispatch!(self, t => t.min_timestamp())
+        self.table().min_timestamp()
     }
     fn max_timestamp(&self) -> Option<Timestamp> {
-        dispatch!(self, t => t.max_timestamp())
+        self.table().max_timestamp()
     }
     fn len(&self) -> usize {
-        dispatch!(self, t => t.len())
+        self.table().len()
     }
     fn version(&self) -> u64 {
-        dispatch!(self, t => t.version())
+        self.table().version()
     }
     fn logins(&self) -> &[i64] {
-        dispatch!(self, t => t.logins())
+        self.table().logins()
     }
     fn slot_index(&self) -> Option<&SlotIndex> {
-        dispatch!(self, t => t.slot_index())
+        self.table().slot_index()
     }
     fn events(&self) -> Vec<ActivityEvent> {
-        dispatch!(self, t => t.events())
+        self.table().events()
     }
     fn stats(&self) -> StorageStats {
-        dispatch!(self, t => t.stats())
+        self.table().stats()
     }
 }
-
-macro_rules! impl_history_traits {
-    ($ty:ty) => {
-        impl HistoryRead for $ty {
-            fn first_last_login_in(
-                &self,
-                lo: Timestamp,
-                hi: Timestamp,
-            ) -> Option<(Timestamp, Timestamp)> {
-                <$ty>::first_last_login_in(self, lo, hi)
-            }
-            fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
-                <$ty>::count_logins_in(self, lo, hi)
-            }
-            fn login_window_stats(
-                &self,
-                lo: Timestamp,
-                hi: Timestamp,
-            ) -> Option<(Timestamp, Timestamp, i64)> {
-                <$ty>::login_window_stats(self, lo, hi)
-            }
-            fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
-                <$ty>::any_event_in(self, lo, hi)
-            }
-            fn min_timestamp(&self) -> Option<Timestamp> {
-                <$ty>::min_timestamp(self)
-            }
-            fn max_timestamp(&self) -> Option<Timestamp> {
-                <$ty>::max_timestamp(self)
-            }
-            fn len(&self) -> usize {
-                <$ty>::len(self)
-            }
-            fn version(&self) -> u64 {
-                <$ty>::version(self)
-            }
-            fn logins(&self) -> &[i64] {
-                <$ty>::logins(self)
-            }
-            fn slot_index(&self) -> Option<&SlotIndex> {
-                <$ty>::slot_index(self)
-            }
-            fn events(&self) -> Vec<ActivityEvent> {
-                <$ty>::events(self)
-            }
-            fn stats(&self) -> StorageStats {
-                <$ty>::stats(self)
-            }
-        }
-
-        impl HistoryStore for $ty {
-            fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-                <$ty>::insert_history(self, ts, kind)
-            }
-            fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-                <$ty>::delete_old_history(self, h, now)
-            }
-            fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-                <$ty>::configure_slot_index(self, period, slot_len)
-            }
-            fn check_invariants(&self) {
-                <$ty>::check_invariants(self)
-            }
-        }
-    };
-}
-
-impl_history_traits!(HistoryTable);
-impl_history_traits!(LsmHistory);
 
 impl HistoryStore for HistoryBackend {
     fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
-        dispatch!(self, t => t.insert_history(ts, kind))
+        self.table_mut().insert_history(ts, kind)
     }
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
-        dispatch!(self, t => t.delete_old_history(h, now))
+        self.table_mut().delete_old_history(h, now)
     }
     fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        dispatch!(self, t => t.configure_slot_index(period, slot_len))
+        self.table_mut().configure_slot_index(period, slot_len)
     }
     fn check_invariants(&self) {
-        dispatch!(self, t => t.check_invariants())
+        self.table().check_invariants()
+    }
+}
+
+impl HistoryRead for HistoryTable {
+    fn first_last_login_in(&self, lo: Timestamp, hi: Timestamp) -> Option<(Timestamp, Timestamp)> {
+        HistoryTable::first_last_login_in(self, lo, hi)
+    }
+    fn count_logins_in(&self, lo: Timestamp, hi: Timestamp) -> i64 {
+        HistoryTable::count_logins_in(self, lo, hi)
+    }
+    fn login_window_stats(
+        &self,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> Option<(Timestamp, Timestamp, i64)> {
+        HistoryTable::login_window_stats(self, lo, hi)
+    }
+    fn any_event_in(&self, lo: Timestamp, hi: Timestamp) -> bool {
+        HistoryTable::any_event_in(self, lo, hi)
+    }
+    fn min_timestamp(&self) -> Option<Timestamp> {
+        HistoryTable::min_timestamp(self)
+    }
+    fn max_timestamp(&self) -> Option<Timestamp> {
+        HistoryTable::max_timestamp(self)
+    }
+    fn len(&self) -> usize {
+        HistoryTable::len(self)
+    }
+    fn version(&self) -> u64 {
+        HistoryTable::version(self)
+    }
+    fn logins(&self) -> &[i64] {
+        HistoryTable::logins(self)
+    }
+    fn slot_index(&self) -> Option<&SlotIndex> {
+        HistoryTable::slot_index(self)
+    }
+    fn events(&self) -> Vec<ActivityEvent> {
+        HistoryTable::events(self)
+    }
+    fn stats(&self) -> StorageStats {
+        HistoryTable::stats(self)
+    }
+}
+
+impl HistoryStore for HistoryTable {
+    fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
+        HistoryTable::insert_history(self, ts, kind)
+    }
+    fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
+        HistoryTable::delete_old_history(self, h, now)
+    }
+    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
+        HistoryTable::configure_slot_index(self, period, slot_len)
+    }
+    fn check_invariants(&self) {
+        HistoryTable::check_invariants(self)
     }
 }
 
@@ -394,22 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn both_backends_expose_the_same_surface() {
+    fn backend_exposes_the_history_surface() {
         exercise(HistoryBackend::new(StorageBackend::BTree));
-        exercise(HistoryBackend::new(StorageBackend::Lsm));
     }
 
     #[test]
     fn default_backend_is_the_btree() {
-        assert_eq!(HistoryBackend::default().kind(), StorageBackend::BTree);
+        assert!(matches!(
+            HistoryBackend::default(),
+            HistoryBackend::BTree(_)
+        ));
         assert_eq!(StorageBackend::default(), StorageBackend::BTree);
         assert_eq!(StorageBackend::BTree.label(), "btree");
-        assert_eq!(StorageBackend::Lsm.label(), "lsm");
     }
 
     #[test]
     fn trait_objects_dispatch_through_the_enum() {
-        let mut b = HistoryBackend::new(StorageBackend::Lsm);
+        let mut b = HistoryBackend::new(StorageBackend::BTree);
         {
             let store: &mut dyn HistoryStore = &mut b;
             store.insert_event(ActivityEvent::start(t(10)));

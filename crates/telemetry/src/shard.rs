@@ -49,20 +49,13 @@ pub struct ShardCounters {
     /// Wall-clock micros spent closing the books in `finish()`
     /// (invariant audits, stats collection, report assembly).  Volatile.
     pub finish_micros: u64,
-    /// Micros the shard's mutation paths spent blocked on inline LSM
-    /// compaction (0 on the B+Tree backend and in background-compaction
-    /// mode).  Volatile.
-    pub compaction_stall_micros: u64,
-    /// Micros of LSM compaction performed off the hot path by the
-    /// shard's scheduler worker (0 outside background mode).  Volatile.
-    pub offloaded_compaction_micros: u64,
 }
 
 impl PartialEq for ShardCounters {
     fn eq(&self, other: &Self) -> bool {
-        // The wall-clock fields (total + phase breakdown + compaction
-        // timings) are volatile (they measure the simulator process, not
-        // the simulated world) and are excluded on purpose.
+        // The wall-clock fields (total + phase breakdown) are volatile
+        // (they measure the simulator process, not the simulated world)
+        // and are excluded on purpose.
         self.shard == other.shard
             && self.databases == other.databases
             && self.events_processed == other.events_processed
@@ -142,8 +135,6 @@ mod tests {
         b.register_micros = 11;
         b.run_micros = 22;
         b.finish_micros = 33;
-        b.compaction_stall_micros = 44;
-        b.offloaded_compaction_micros = 55;
         assert_eq!(
             a, b,
             "wall clock and phase breakdown must not break determinism equality"

@@ -24,18 +24,21 @@
 //!   shards;
 //! * golden SLO exports — the fixed scenario's per-region rollup rows
 //!   (`slo_small.jsonl`) and alert log (`alerts_small.jsonl`);
-//! * a provenance acceptance check — recorded `Decision` spans replay
+//! * provenance acceptance checks — recorded `Decision` spans replay
 //!   through `timetravel::replay_as_of` to the *same* predicted resume
-//!   instant the engine acted on.
+//!   instant the engine acted on, and a recorded `Predict` run replays
+//!   to the prediction a directly rebuilt history yields.
 
 use proptest::prelude::*;
 use prorp_core::EngineCounters;
+use prorp_forecast::ProbabilisticPredictor;
 use prorp_obs::{
     alerts_jsonl, evaluate_alerts, prometheus_text, replay_as_of, slo_jsonl, trace_jsonl,
-    DecisionAction, ObsConfig, QuantileSketch, SloConfig, SpanKind,
+    DecisionAction, ObsConfig, PredictOutcome, QuantileSketch, SloConfig, SpanKind,
 };
 use prorp_sim::{SimPolicy, SimReport};
-use prorp_types::{PolicyConfig, Seconds};
+use prorp_storage::HistoryTable;
+use prorp_types::{EventKind, PolicyConfig, Seconds};
 use testkit::golden::check_golden_file;
 use testkit::oracles::{builder, run};
 use testkit::strategies::{fault_plan, fleet_spec, FaultPlan, FleetSpec};
@@ -377,5 +380,68 @@ fn recorded_decisions_replay_through_time_travel() {
     assert!(
         checked > 0,
         "the golden scenario recorded no fresh-forecast pause decisions to replay"
+    );
+}
+
+/// End-to-end time travel: pick a recorded Predict instant from a real
+/// simulated trace, replay that database's Login spans as of T, and
+/// re-run Algorithm 4.  The result must equal a prediction computed
+/// over a directly rebuilt B+Tree history.
+#[test]
+fn time_travel_reproduces_a_recorded_prediction() {
+    let spec = FleetSpec {
+        region: prorp_workload::RegionName::all()[1],
+        size: 10,
+        seed: 20_240_607,
+    };
+    let plan = FaultPlan {
+        stage_failure: 0.1,
+        warm_cache_extra: 0.1,
+        seed: 7,
+        ..FaultPlan::quiescent()
+    };
+    let cfg = plan
+        .apply(builder(SimPolicy::Proactive(PolicyConfig::default())))
+        .shards(2)
+        .observe(ObsConfig::on())
+        .build()
+        .expect("observed configs validate");
+    let report = run(cfg, spec.traces());
+    let records = &report.obs.as_ref().expect("observed").trace;
+    // Chosen (db, T): the last successful predictor run in the trace,
+    // so plenty of history precedes it.
+    let (db, at) = records
+        .iter()
+        .filter_map(|r| match r.kind {
+            SpanKind::Predict {
+                outcome: PredictOutcome::Predicted,
+            } => Some((r.db, r.start)),
+            _ => None,
+        })
+        .next_back()
+        .expect("a 35-day proactive run records predictor runs");
+
+    let replay = replay_as_of(records, db, at, PolicyConfig::default()).expect("replay succeeds");
+    assert!(
+        replay.reproduces_recorded_run(),
+        "replay instant must hit the recorded run"
+    );
+    assert!(replay.logins_replayed > 0, "the database logged in");
+    assert!(replay.snapshot_len > 0, "history precedes the predict run");
+
+    // Independent route: rebuild the pre-T history directly in a
+    // B+Tree and predict over it.
+    let mut table = HistoryTable::new();
+    for r in records.iter().filter(|r| r.db == db && r.start <= at) {
+        if matches!(r.kind, SpanKind::Login { .. }) {
+            table.insert_history(r.start, EventKind::Start);
+        }
+    }
+    let expected = ProbabilisticPredictor::new(PolicyConfig::default())
+        .expect("Table 1 defaults validate")
+        .predict_at(&table, at);
+    assert_eq!(
+        replay.prediction, expected,
+        "time-travel replay diverged from the direct rebuild"
     );
 }

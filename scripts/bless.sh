@@ -23,6 +23,15 @@ cargo run --release -q -p prorp-server --bin prorp-server -- \
     --end 259200 --policy proactive --shards 2 --step 21600 \
     > tests/goldens/server_replay.txt
 
+# Re-record the time-travel replay and decision-provenance reports over
+# the golden traces re-blessed above.
+cargo run --release -q -p prorp-obs --bin prorp-trace -- \
+    tests/goldens/trace_small.jsonl time-travel 7 200000 \
+    > tests/goldens/time_travel_small.txt
+cargo run --release -q -p prorp-obs --bin prorp-trace -- \
+    tests/goldens/trace_decisions_small.jsonl why 2 209053 \
+    > tests/goldens/why_small.txt
+
 # Re-record the full-scale prediction-index A/B numbers alongside the
 # goldens (timings are machine-dependent; the committed file documents a
 # representative run, the smoke run in check.sh guards the equivalence).
@@ -42,13 +51,6 @@ cargo run --release -q -p prorp-bench --bin scale_bench -- \
 # guarantees; the rates are a representative snapshot.
 cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --json results/BENCH_obs.json
-
-# Re-record the storage-backend A/B (write amplification + window-scan
-# latency for btree and lsm).  The equality gate and checksum
-# assertions inside the binary are the guarantees; the timings are a
-# representative snapshot.
-cargo run --release -q -p prorp-bench --bin storage_bench -- \
-    --json results/BENCH_storage.json
 
 echo "==> goldens re-blessed; review the drift:"
 git --no-pager diff --stat -- tests/goldens/ results/

@@ -5,12 +5,13 @@
 #
 # Runs, in order: the feature-matrix builds (no default features, the
 # default release build, and all features so `strict-invariants` and the
-# observability layer compile together), the full test suite, the golden
-# snapshot checks (bit-stable simulator output; re-record intentional
-# changes with scripts/bless.sh), the `prorp-trace` CLI against the
-# golden trace, the control-plane server replay gate (live ≡ DES over
-# HTTP), the machine-readable fleet-composition export, clippy
-# (warnings are errors), rustdoc (warnings are errors), and the
+# observability layer compile together), the build of the standalone
+# benchmark in perfbench/, the full test suite, the golden snapshot
+# checks (bit-stable simulator output; re-record intentional changes
+# with scripts/bless.sh), the `prorp-trace` CLI against the golden
+# traces, the control-plane server replay gate (live ≡ DES over HTTP),
+# the machine-readable fleet-composition export, the bench smokes,
+# clippy (warnings are errors), rustdoc (warnings are errors), and the
 # formatting check.  Fails fast on the first broken step.
 
 set -euo pipefail
@@ -26,6 +27,11 @@ run cargo build --workspace --no-default-features
 run cargo build --release
 run cargo build --workspace --all-features
 
+# The benchmark in perfbench/ is its own workspace built against the
+# crates by path, so a crate API change that breaks it fails here, not
+# only when the benchmark runs.
+run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 run cargo test -q
 run env BLESS=0 cargo test -q -p testkit --test golden_kpis
 run env BLESS=0 cargo test -q -p testkit --test obs_conformance
@@ -35,20 +41,24 @@ run env BLESS=0 cargo test -q -p testkit --test obs_conformance
 # shard invariance with the index enabled).
 run cargo test -q -p testkit --test prediction_index
 
-# The LSM backend must stay observationally identical to the B+Tree
-# behind the HistoryStore seam (op interleavings, fleet differentials,
-# shard invariance, span traces, and time-travel reproduction).
-run cargo test -q -p testkit --test storage_conformance
-
 # The trace-query CLI must keep parsing the pinned trace format.
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_small.jsonl summary
 run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_small.jsonl qos-misses 5
-run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
-    tests/goldens/trace_small.jsonl time-travel 7 200000
-run cargo run --release -q -p prorp-obs --bin prorp-trace -- \
-    tests/goldens/trace_decisions_small.jsonl why 2 209053
+
+# The time-travel replay and the decision provenance it backs must keep
+# printing the pinned reports (re-record intentional drift with
+# scripts/bless.sh).
+echo "==> prorp-trace time-travel / why goldens"
+cargo run --release -q -p prorp-obs --bin prorp-trace -- \
+    tests/goldens/trace_small.jsonl time-travel 7 200000 \
+    > target/time_travel_small.txt
+run diff -u tests/goldens/time_travel_small.txt target/time_travel_small.txt
+cargo run --release -q -p prorp-obs --bin prorp-trace -- \
+    tests/goldens/trace_decisions_small.jsonl why 2 209053 \
+    > target/why_small.txt
+run diff -u tests/goldens/why_small.txt target/why_small.txt
 
 # Control-plane service mode: boot the virtual-clock server, replay the
 # golden event stream through the real HTTP API, and let the binary
@@ -67,10 +77,11 @@ run cargo run --release -q -p prorp-bench --bin fleet_report -- \
     --json results/BENCH_fleet.json
 
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
-# every timed case and records the speedups (timings vary run to run;
-# scripts/bless.sh re-records the full-scale numbers).
+# every timed case (the committed full-scale numbers in
+# results/BENCH_predict.json come from scripts/bless.sh; the smoke JSON
+# is a scratch artefact).
 run cargo run --release -q -p prorp-bench --bin predict_bench -- \
-    --smoke --json results/BENCH_predict.json
+    --smoke --json target/predict_smoke.json
 
 # Scale sweep in smoke mode: asserts streamed ≡ materialised, KPI
 # shard-invariance, and the observability overhead gate (rollup-only
@@ -87,22 +98,6 @@ run cargo run --release -q -p prorp-bench --bin scale_bench -- \
 # come from scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin obs_bench -- \
     --smoke --json target/obs_smoke.json
-
-# Storage-backend A/B in smoke mode, under BOTH LSM compaction modes:
-# asserts btree ≡ lsm fleet KPIs, checksummed window-scan agreement,
-# flat range-tombstone trim cost, and — in background mode — a
-# stall-free event-loop path (the committed full-scale numbers in
-# results/BENCH_storage.json come from scripts/bless.sh).
-run cargo run --release -q -p prorp-bench --bin storage_bench -- \
-    --smoke --compaction deterministic --json target/storage_smoke.json
-run cargo run --release -q -p prorp-bench --bin storage_bench -- \
-    --smoke --compaction background --json target/storage_smoke_bg.json
-
-# Hand-rolled multi-thread stress of the compaction scheduler: pinned
-# snapshots stay exact while a real worker compacts underneath them,
-# and many stores share one scheduler without cross-talk.
-run cargo test -q -p prorp-storage --features shuttle-compaction \
-    --test shuttle_compaction
 
 run cargo clippy --workspace --all-targets -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
