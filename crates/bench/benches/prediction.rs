@@ -80,16 +80,14 @@ fn bench_slide_granularity(c: &mut Criterion) {
 }
 
 fn bench_naive_vs_incremental(c: &mut Criterion) {
-    // The PR 5 tentpole A/B: the from-scratch Algorithm 4 scan against
-    // the slot-index + cursor-sweep predictor on the same table, at the
-    // Table 1 defaults.  Both arms must return identical predictions
-    // (enforced by the testkit differential oracle); only the cost may
-    // differ.
+    // The from-scratch Algorithm 4 scan against the change-point sweep
+    // predictor on the same table, at the Table 1 defaults.  Both arms
+    // must return identical predictions (enforced by the testkit
+    // differential oracle); only the cost may differ.
     let mut group = c.benchmark_group("prediction/index_ab");
     for &per_day in &[1i64, 8, 40] {
         let config = PolicyConfig::default();
-        let mut h = history(per_day);
-        h.configure_slot_index(config.seasonality.period(), config.slide);
+        let h = history(per_day);
         let naive = ProbabilisticPredictor::new(config).unwrap();
         let fast = IncrementalPredictor::new(config).unwrap();
         assert_eq!(

@@ -1,13 +1,14 @@
-//! Prediction-index A/B harness — the PR 5 tentpole measurement.
+//! Algorithm 4 A/B harness: the naive reference against the
+//! change-point sweep.
 //!
 //! Times the naive from-scratch Algorithm 4 scan against the
-//! incremental predictor (login cache + slot-index bitmap + cursor
-//! sweep) on identical tables, then runs the same fleet simulation
-//! twice — once per predictor via the `naive_predictor` knob — to show
-//! the end-to-end win.  Both arms are bit-identical in behaviour (the
-//! testkit differential oracles enforce it); this harness asserts
-//! prediction and KPI equality again as a cheap belt-and-braces check
-//! and reports only the cost difference.
+//! incremental predictor (sorted login cache + change-point sweep over
+//! the occupied period rows) on identical tables, then runs the same
+//! fleet simulation twice — once per predictor via the `naive_predictor`
+//! knob — to show the end-to-end win.  Both arms are bit-identical in
+//! behaviour (the testkit differential oracles enforce it); this harness
+//! asserts prediction and KPI equality again as a cheap belt-and-braces
+//! check and reports only the cost difference.
 //!
 //! Flags:
 //!
@@ -16,9 +17,16 @@
 //! * `--json <path>` — write the machine-readable summary
 //!   (`results/BENCH_predict.json` by convention).
 //!
-//! Micro numbers are best-of-R means (minimum over repetitions of the
-//! per-call mean), which suppresses scheduler noise without hiding the
-//! steady-state cost.
+//! Each micro case is timed in `repeats` batches; a batch's per-call
+//! mean is one sample, and the record keeps the min, median and max of
+//! the samples per arm.  The headline ns/op is the min (best-of-R),
+//! which suppresses scheduler noise without hiding the steady-state
+//! cost.
+//!
+//! Exit status: non-zero when any micro case's incremental ns/op is not
+//! below the naive arm's — an O(positions × periods) path slipping back
+//! into the sweep fails the check gate even in smoke mode.  No JSON is
+//! written in that case.
 
 use prorp_bench::{json_path_from_args, write_json, ExperimentScale, JsonValue};
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
@@ -45,72 +53,107 @@ fn history(per_day: i64) -> HistoryTable {
     h
 }
 
-/// Best-of-`reps` mean nanoseconds per call of `f`.
-fn time_ns<F: FnMut()>(reps: usize, iters: usize, mut f: F) -> f64 {
+/// A 6-day-old database with 7 logins whose clock times rotate by 8 h a
+/// day: no 7-hour window holds logins of more than two days, so no
+/// position reaches the default `c` and both arms sweep the whole
+/// horizon — the common case across a young fleet.
+fn no_pattern_history() -> HistoryTable {
+    let mut h = HistoryTable::new();
+    let mut session = |start: i64| {
+        h.insert_history(Timestamp(start), EventKind::Start);
+        h.insert_history(Timestamp(start + 600), EventKind::End);
+    };
+    for d in 0..6 {
+        session(d * DAY + HOUR + (d % 3) * 8 * HOUR);
+    }
+    session(5 * DAY + 17 * HOUR + 1_200);
+    h
+}
+
+/// Per-call nanoseconds of `f` over `reps` batches of `iters` calls:
+/// one sample per batch, sorted ascending.
+fn time_ns<F: FnMut()>(reps: usize, iters: usize, mut f: F) -> Vec<f64> {
     // One untimed warm-up pass populates caches and branch predictors.
     f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let per_call = t0.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(per_call);
-    }
-    best
+    let mut samples: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    samples
+}
+
+/// `{min, median, max}` of sorted samples.
+fn spread(samples: &[f64]) -> JsonValue {
+    JsonValue::object(vec![
+        ("min", JsonValue::Float(samples[0])),
+        ("median", JsonValue::Float(samples[samples.len() / 2])),
+        ("max", JsonValue::Float(samples[samples.len() - 1])),
+    ])
+}
+
+/// The commit the binary was run from, suffixed `-dirty` when the
+/// working tree has uncommitted changes; `unknown` outside a checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=40"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |rev| rev.trim().to_string())
 }
 
 struct MicroCase {
     name: &'static str,
-    per_day: i64,
+    history: HistoryTable,
+    now: Timestamp,
     config: PolicyConfig,
     basis: ConfidenceBasis,
 }
 
 fn micro_cases() -> Vec<MicroCase> {
     let default = PolicyConfig::default();
+    let case = |name, per_day, config, basis| MicroCase {
+        name,
+        history: history(per_day),
+        now: Timestamp(28 * DAY),
+        config,
+        basis,
+    };
     vec![
-        MicroCase {
-            name: "default",
-            per_day: 8,
-            config: default,
-            basis: ConfidenceBasis::Windows,
-        },
-        MicroCase {
-            name: "sparse_history",
-            per_day: 1,
-            config: default,
-            basis: ConfidenceBasis::Windows,
-        },
-        MicroCase {
-            name: "dense_history",
-            per_day: 40,
-            config: default,
-            basis: ConfidenceBasis::Windows,
-        },
-        MicroCase {
-            name: "weekly",
-            per_day: 8,
-            config: PolicyConfig {
+        case("default", 8, default, ConfidenceBasis::Windows),
+        case("sparse_history", 1, default, ConfidenceBasis::Windows),
+        case("dense_history", 40, default, ConfidenceBasis::Windows),
+        case(
+            "weekly",
+            8,
+            PolicyConfig {
                 seasonality: Seasonality::Weekly,
                 ..default
             },
-            basis: ConfidenceBasis::Windows,
-        },
-        MicroCase {
-            name: "logins_basis",
-            per_day: 8,
-            config: default,
-            basis: ConfidenceBasis::Logins,
-        },
-        MicroCase {
-            name: "fine_slide",
-            per_day: 8,
-            config: PolicyConfig {
+            ConfidenceBasis::Windows,
+        ),
+        case("logins_basis", 8, default, ConfidenceBasis::Logins),
+        case(
+            "fine_slide",
+            8,
+            PolicyConfig {
                 slide: Seconds::minutes(1),
                 ..default
             },
+            ConfidenceBasis::Windows,
+        ),
+        MicroCase {
+            name: "no_pattern",
+            history: no_pattern_history(),
+            now: Timestamp(6 * DAY),
+            config: default,
             basis: ConfidenceBasis::Windows,
         },
     ]
@@ -140,10 +183,10 @@ fn fleet_run(scale: &ExperimentScale, naive: bool) -> (SimReport, f64) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let json_path = json_path_from_args();
-    let (reps, iters) = if smoke { (3, 30) } else { (7, 200) };
+    let (reps, iters) = if smoke { (3, 30) } else { (9, 200) };
 
     println!(
-        "Prediction-index A/B ({} mode): naive Algorithm 4 scan vs incremental index",
+        "Algorithm 4 A/B ({} mode): naive scan vs change-point sweep, {reps} x {iters} calls",
         if smoke { "smoke" } else { "full" }
     );
     println!();
@@ -154,43 +197,55 @@ fn main() {
 
     let mut micro_rows = Vec::new();
     let mut default_speedup = 0.0;
+    let mut not_faster = Vec::new();
     for case in micro_cases() {
-        let mut h = history(case.per_day);
-        h.configure_slot_index(case.config.seasonality.period(), case.config.slide);
+        let h = &case.history;
+        let now = case.now;
         let naive = ProbabilisticPredictor::with_basis(case.config, case.basis).unwrap();
         let fast = IncrementalPredictor::with_basis(case.config, case.basis).unwrap();
-        let now = Timestamp(28 * DAY);
         assert_eq!(
-            naive.predict_at(&h, now),
-            fast.predict_at(&h, now),
+            naive.predict_at(h, now),
+            fast.predict_at(h, now),
             "{}: A/B arms disagree — differential bug",
             case.name
         );
         let naive_ns = time_ns(reps, iters, || {
-            black_box(naive.predict_at(black_box(&h), now));
+            black_box(naive.predict_at(black_box(h), now));
         });
         let fast_ns = time_ns(reps, iters, || {
-            black_box(fast.predict_at(black_box(&h), now));
+            black_box(fast.predict_at(black_box(h), now));
         });
-        let speedup = naive_ns / fast_ns;
+        let speedup = naive_ns[0] / fast_ns[0];
         if case.name == "default" {
             default_speedup = speedup;
+        }
+        if fast_ns[0] >= naive_ns[0] {
+            not_faster.push(case.name);
         }
         println!(
             "{:<16} {:>6} {:>14.0} {:>14.0} {:>8.1}x",
             case.name,
             h.len(),
-            naive_ns,
-            fast_ns,
+            naive_ns[0],
+            fast_ns[0],
             speedup
         );
         micro_rows.push(JsonValue::object(vec![
             ("case", JsonValue::Str(case.name.into())),
             ("rows", JsonValue::UInt(h.len() as u64)),
-            ("naive_ns_per_op", JsonValue::Float(naive_ns)),
-            ("incremental_ns_per_op", JsonValue::Float(fast_ns)),
+            ("naive_ns_per_op", JsonValue::Float(naive_ns[0])),
+            ("incremental_ns_per_op", JsonValue::Float(fast_ns[0])),
             ("speedup", JsonValue::Float(speedup)),
+            ("naive_ns", spread(&naive_ns)),
+            ("incremental_ns", spread(&fast_ns)),
         ]));
+    }
+    if !not_faster.is_empty() {
+        eprintln!(
+            "predict_bench: the incremental predictor is not faster than the naive scan on: {}",
+            not_faster.join(", ")
+        );
+        std::process::exit(1);
     }
 
     // End-to-end: the same fleet through both predictor arms.  Reports
@@ -227,11 +282,16 @@ fn main() {
     );
 
     if let Some(path) = json_path {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
         let value = JsonValue::object(vec![
+            ("rev", JsonValue::Str(git_rev())),
+            ("nproc", JsonValue::UInt(nproc as u64)),
             (
                 "mode",
                 JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
             ),
+            ("repeats", JsonValue::UInt(reps as u64)),
+            ("iters_per_repeat", JsonValue::UInt(iters as u64)),
             ("micro", JsonValue::Array(micro_rows)),
             ("default_speedup", JsonValue::Float(default_speedup)),
             (

@@ -112,16 +112,10 @@ impl<P: Predictor> ProactiveEngine<P> {
     ) -> Result<Self, ProrpError> {
         config.validate()?;
         breaker.validate()?;
-        let mut tracker = ActivityTracker::new();
-        if predictor.wants_slot_index() {
-            tracker
-                .history_mut()
-                .configure_slot_index(config.seasonality.period(), config.slide);
-        }
         Ok(ProactiveEngine {
             config,
             predictor,
-            tracker,
+            tracker: ActivityTracker::new(),
             state: DbState::Resumed,
             active: false,
             old: false,
@@ -477,11 +471,6 @@ impl<P: Predictor> DatabasePolicy for ProactiveEngine<P> {
         // The restored table restarts its mutation-version counter, so
         // cached `(version, now)` keys would collide across tables.
         self.cached = None;
-        if self.predictor.wants_slot_index() {
-            self.tracker
-                .history_mut()
-                .configure_slot_index(self.config.seasonality.period(), self.config.slide);
-        }
     }
 
     fn current_prediction(&self) -> Option<Prediction> {
@@ -835,14 +824,6 @@ mod tests {
         let mut naive = engine();
         let mut incr =
             ProactiveEngine::new(config(), IncrementalPredictor::new(config()).unwrap()).unwrap();
-        assert!(
-            incr.history().slot_index().is_some(),
-            "engine configures the slot index for predictors that want it"
-        );
-        assert!(
-            naive.history().slot_index().is_none(),
-            "naive reference engines stay free of index maintenance"
-        );
         let a = run_daily_sessions(&mut naive, 6);
         let b = run_daily_sessions(&mut incr, 6);
         assert_eq!(a, b, "action streams diverged");
@@ -885,7 +866,7 @@ mod tests {
     }
 
     #[test]
-    fn restore_invalidates_the_prediction_cache_and_reindexes() {
+    fn restore_invalidates_the_prediction_cache() {
         use prorp_forecast::IncrementalPredictor;
         let mk = || ProactiveEngine::new(config(), IncrementalPredictor::new(config()).unwrap());
         let mut eng = mk().unwrap();
@@ -895,8 +876,6 @@ mod tests {
         moved.on_event(t(100), EngineEvent::ActivityStart);
         moved.on_event(t(200), EngineEvent::ActivityEnd);
         moved.restore_history(snapshot);
-        let ix = moved.history().slot_index().expect("index reconfigured");
-        assert_eq!(ix.total_logins() as usize, moved.history().logins().len());
         moved.history().check_invariants();
         // The next cycle predicts from the restored table, not a stale
         // cache entry keyed on the old table's version.

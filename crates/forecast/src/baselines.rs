@@ -218,10 +218,6 @@ impl<P: Predictor> Predictor for FailEvery<P> {
     fn name(&self) -> &'static str {
         "fail-every"
     }
-
-    fn wants_slot_index(&self) -> bool {
-        self.inner.wants_slot_index()
-    }
 }
 
 #[cfg(test)]

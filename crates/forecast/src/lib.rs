@@ -3,7 +3,10 @@
 //! The deployed predictor is the probabilistic sliding-window detector of
 //! Algorithm 4, here in a native implementation over the B-tree-indexed
 //! history table ([`probabilistic`]), supporting both the daily default and
-//! the weekly seasonality variant §9.2 mentions.
+//! the weekly seasonality variant §9.2 mentions.  [`incremental`] returns
+//! the same predictions bit for bit as a change-point sweep over the
+//! table's sorted login cache; the simulator runs it by default and keeps
+//! the scan as the reference.
 //!
 //! The paper argues (§1, §3.2, §10) that simple statistical/probabilistic
 //! techniques are accurate enough in practice and evaluates against that
@@ -60,14 +63,4 @@ pub trait Predictor {
 
     /// Short name for telemetry and experiment tables.
     fn name(&self) -> &'static str;
-
-    /// Whether this predictor benefits from the history store's
-    /// slot-occupancy index
-    /// ([`HistoryStore::configure_slot_index`](prorp_storage::HistoryStore::configure_slot_index)).
-    /// Engines configure the index on their history only when the
-    /// predictor asks for it, so reference/naive runs stay free of
-    /// index-maintenance overhead.  Wrappers must forward this.
-    fn wants_slot_index(&self) -> bool {
-        false
-    }
 }

@@ -17,17 +17,13 @@
 //!
 //! # Prediction-index support
 //!
-//! Alongside the clustered B-tree the table maintains, at every mutation
-//! site (`InsertHistory`, `DeleteOldHistory`, restore), two auxiliary
-//! structures the incremental predictor builds on:
-//!
-//! * a sorted cache of login timestamps ([`HistoryTable::logins`]) kept
-//!   in lockstep with the index — `O(1)` amortised for the in-order
-//!   appends the tracker produces, and drained by range on trims;
-//! * an optional [`SlotIndex`]: a per-seasonal-period occupancy bitmap
-//!   (plus per-slot login counts) over `slide`-granularity clock slots,
-//!   enabled with [`HistoryTable::configure_slot_index`] and updated
-//!   `O(1)` per login insert/delete.
+//! Alongside the clustered B-tree the table keeps, at every mutation
+//! site (`InsertHistory`, `DeleteOldHistory`, restore), a sorted cache of
+//! login timestamps ([`HistoryTable::logins`]) in lockstep with the
+//! index — `O(1)` amortised for the in-order appends the tracker
+//! produces, and drained by range on trims.  The incremental predictor's
+//! change-point sweep reads nothing else: it finds each period row's
+//! first login with one binary search over this cache.
 //!
 //! A monotonically increasing mutation [`version`](HistoryTable::version)
 //! is bumped on every content change so engines can key prediction
@@ -37,142 +33,6 @@ use crate::btree::BTree;
 use crate::page::{self, Record};
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 use std::ops::Bound;
-
-/// Occupancy index over login *clock offsets* within one seasonal period.
-///
-/// Each login timestamp `t` lands in slot `(t mod period) / slot_len`;
-/// the index keeps a bitmap of occupied slots plus a per-slot login
-/// count.  Because Algorithm 4 compares the *same* clock window against
-/// every previous period (`winStart − period·prev ≡ winStart (mod
-/// period)`), one bitmap probe answers "could any period-row of this
-/// window position contain a login?" for all rows at once — a false
-/// positive merely costs the exact sweep, while a false negative is
-/// impossible since the probed slot range covers the window's whole
-/// clock interval.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SlotIndex {
-    /// Seasonal period in seconds (positive).
-    period: i64,
-    /// Slot granularity in seconds (positive, at most `period`).
-    slot_len: i64,
-    /// Number of slots: `ceil(period / slot_len)`.
-    slots: usize,
-    /// Occupancy bitmap, one bit per slot.
-    words: Vec<u64>,
-    /// Logins currently indexed per slot.
-    counts: Vec<u32>,
-    /// Total logins indexed.
-    total: u64,
-}
-
-impl SlotIndex {
-    /// An empty index; `None` when the parameters are degenerate.
-    fn new(period: Seconds, slot_len: Seconds) -> Option<SlotIndex> {
-        let p = period.as_secs();
-        let g = slot_len.as_secs();
-        if p <= 0 || g <= 0 {
-            return None;
-        }
-        let g = g.min(p);
-        let slots = ((p + g - 1) / g) as usize;
-        Some(SlotIndex {
-            period: p,
-            slot_len: g,
-            slots,
-            words: vec![0; slots.div_ceil(64)],
-            counts: vec![0; slots],
-            total: 0,
-        })
-    }
-
-    /// Rebuild from a sorted login cache.
-    fn rebuilt(period: Seconds, slot_len: Seconds, logins: &[i64]) -> Option<SlotIndex> {
-        let mut ix = SlotIndex::new(period, slot_len)?;
-        for &t in logins {
-            ix.add(t);
-        }
-        Some(ix)
-    }
-
-    /// The seasonal period this index is bucketed over.
-    pub fn period(&self) -> Seconds {
-        Seconds(self.period)
-    }
-
-    /// The slot granularity.
-    pub fn slot_len(&self) -> Seconds {
-        Seconds(self.slot_len)
-    }
-
-    /// Total logins currently indexed.
-    pub fn total_logins(&self) -> u64 {
-        self.total
-    }
-
-    fn slot_of(&self, ts: i64) -> usize {
-        (ts.rem_euclid(self.period) / self.slot_len) as usize
-    }
-
-    fn add(&mut self, ts: i64) {
-        let s = self.slot_of(ts);
-        self.counts[s] += 1;
-        self.words[s / 64] |= 1 << (s % 64);
-        self.total += 1;
-    }
-
-    fn remove(&mut self, ts: i64) {
-        let s = self.slot_of(ts);
-        self.counts[s] = self.counts[s]
-            .checked_sub(1)
-            .expect("slot index decrement without a matching insert");
-        if self.counts[s] == 0 {
-            self.words[s / 64] &= !(1 << (s % 64));
-        }
-        self.total -= 1;
-    }
-
-    /// Any occupied slot in the inclusive slot range `[a, b]`?
-    fn any_in_slots(&self, a: usize, b: usize) -> bool {
-        let (wa, wb) = (a / 64, b / 64);
-        let lo_mask = !0u64 << (a % 64);
-        let hi_mask = !0u64 >> (63 - (b % 64));
-        if wa == wb {
-            return self.words[wa] & lo_mask & hi_mask != 0;
-        }
-        if self.words[wa] & lo_mask != 0 {
-            return true;
-        }
-        if self.words[wa + 1..wb].iter().any(|&w| w != 0) {
-            return true;
-        }
-        self.words[wb] & hi_mask != 0
-    }
-
-    /// Conservative occupancy probe for the clock window
-    /// `[win_start mod period, win_start mod period + w]`: `false`
-    /// guarantees no login of *any* seasonal period falls inside a
-    /// window of length `w` starting at `win_start − period·prev` for
-    /// any `prev`; `true` says some covered slot holds a login (which
-    /// may still fall outside the exact window bounds).
-    pub fn any_login_in_clock_window(&self, win_start: Timestamp, w: Seconds) -> bool {
-        if self.total == 0 {
-            return false;
-        }
-        if w.as_secs() >= self.period {
-            return true; // the window covers the whole period
-        }
-        let clock_lo = win_start.as_secs().rem_euclid(self.period);
-        let clock_hi = clock_lo + w.as_secs();
-        let a = (clock_lo / self.slot_len) as usize;
-        if clock_hi >= self.period {
-            // The clock interval wraps past the period boundary.
-            self.any_in_slots(a, self.slots - 1)
-                || self.any_in_slots(0, ((clock_hi - self.period) / self.slot_len) as usize)
-        } else {
-            self.any_in_slots(a, (clock_hi / self.slot_len) as usize)
-        }
-    }
-}
 
 /// Result of one [`HistoryTable::delete_old_history`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -210,8 +70,6 @@ pub struct HistoryTable {
     /// Monotonically increasing mutation version: bumped whenever the
     /// stored tuple set actually changes.
     version: u64,
-    /// Optional slot-occupancy index (see [`SlotIndex`]).
-    slots: Option<SlotIndex>,
 }
 
 impl HistoryTable {
@@ -225,8 +83,8 @@ impl HistoryTable {
     /// Inserts the event unless a tuple with the same `time_snapshot`
     /// already exists (the `IF NOT EXISTS` guard).  Returns `true` when a
     /// tuple was inserted.  `O(log n)` via the clustered index; the login
-    /// cache and slot index are updated `O(1)` amortised for the in-order
-    /// appends the activity tracker produces.
+    /// cache is updated `O(1)` amortised for the in-order appends the
+    /// activity tracker produces.
     pub fn insert_history(&mut self, ts: Timestamp, kind: EventKind) -> bool {
         if self.index.contains_key(ts.as_secs()) {
             return false;
@@ -242,9 +100,6 @@ impl HistoryTable {
                     self.logins.insert(pos, t);
                 }
                 _ => self.logins.push(t),
-            }
-            if let Some(ix) = self.slots.as_mut() {
-                ix.add(t);
             }
         }
         self.version += 1;
@@ -275,19 +130,11 @@ impl HistoryTable {
         if min_ts < history_start {
             let deleted = self.index.delete_exclusive_range(min_ts, history_start);
             if deleted > 0 {
-                // Mirror the trim on the login cache and slot index: the
-                // deleted keys are exactly those strictly inside
-                // `(min_ts, history_start)`.
+                // Mirror the trim on the login cache: the deleted keys are
+                // exactly those strictly inside `(min_ts, history_start)`.
                 let lo = self.logins.partition_point(|&t| t <= min_ts);
                 let hi = self.logins.partition_point(|&t| t < history_start);
-                if lo < hi {
-                    if let Some(ix) = self.slots.as_mut() {
-                        for &t in &self.logins[lo..hi] {
-                            ix.remove(t);
-                        }
-                    }
-                    self.logins.drain(lo..hi);
-                }
+                self.logins.drain(lo..hi);
                 self.version += 1;
             }
             DeleteOutcome { old: true, deleted }
@@ -401,22 +248,9 @@ impl HistoryTable {
 
     /// The sorted login (`event_type = 1`) timestamps, maintained in
     /// lockstep with the clustered index — the incremental predictor's
-    /// cursor-sweep substrate.
+    /// change-point sweep substrate.
     pub fn logins(&self) -> &[i64] {
         &self.logins
-    }
-
-    /// The slot-occupancy index, when one has been configured.
-    pub fn slot_index(&self) -> Option<&SlotIndex> {
-        self.slots.as_ref()
-    }
-
-    /// (Re)build the slot-occupancy index bucketing login clock offsets
-    /// into `slot_len`-granularity slots over one `period`.  Degenerate
-    /// parameters (non-positive period or slot length) disable the index.
-    /// Subsequent mutations keep it current in `O(1)` per login.
-    pub fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.slots = SlotIndex::rebuilt(period, slot_len, &self.logins);
     }
 
     /// All events in timestamp order — the materialised read-only view §5
@@ -452,9 +286,7 @@ impl HistoryTable {
     pub(crate) fn from_records(records: &[Record]) -> Result<Self, prorp_types::ProrpError> {
         let pairs: Vec<(i64, i64)> = records.iter().map(|r| (r.key, r.value)).collect();
         // Key order is a bulk-load precondition, so the filtered login
-        // cache comes out sorted for free.  The slot index is left
-        // unconfigured: the restoring engine re-enables it with its own
-        // knobs (they do not travel in the backup stream).
+        // cache comes out sorted for free.
         let logins = records
             .iter()
             .filter(|r| r.value == 1)
@@ -464,16 +296,13 @@ impl HistoryTable {
             index: BTree::bulk_load(pairs)?,
             logins,
             version: 0,
-            slots: None,
         })
     }
 
     /// Verify the table's structural invariants: the clustered index's
-    /// B-tree properties (key ordering, node occupancy, depth balance),
+    /// B-tree properties (key ordering, node occupancy, depth balance) and
     /// the login cache being exactly the index's `event_type = 1` keys in
-    /// order, and — when configured — the slot index matching a
-    /// from-scratch rebuild.  Used by the strict-invariants checker and
-    /// property tests.
+    /// order.  Used by the strict-invariants checker and property tests.
     ///
     /// # Panics
     ///
@@ -490,11 +319,6 @@ impl HistoryTable {
             self.logins, expected,
             "login cache diverged from the clustered index"
         );
-        if let Some(ix) = &self.slots {
-            let rebuilt = SlotIndex::rebuilt(ix.period(), ix.slot_len(), &self.logins)
-                .expect("a configured slot index has valid parameters");
-            assert_eq!(*ix, rebuilt, "slot index diverged from a rebuild");
-        }
     }
 
     /// Storage-overhead statistics (Figure 10a–b).
@@ -653,7 +477,6 @@ mod tests {
     #[test]
     fn login_cache_tracks_out_of_order_inserts_and_trims() {
         let mut h = HistoryTable::new();
-        h.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
         for &ts in &[500, 100, 300, 200, 400] {
             h.insert_history(t(ts), EventKind::Start);
             h.insert_history(t(ts + 50), EventKind::End);
@@ -666,44 +489,11 @@ mod tests {
         assert!(outcome.old);
         assert_eq!(h.logins(), &[100, 400, 500]);
         h.check_invariants();
-        assert_eq!(h.slot_index().unwrap().total_logins(), 3);
-    }
-
-    #[test]
-    fn slot_index_probe_is_conservative_and_never_misses() {
-        let mut h = HistoryTable::new();
-        let day = Seconds::days(1);
-        h.configure_slot_index(day, Seconds::minutes(5));
-        // Logins at 09:00 across three days, plus one at 23:59 (exercises
-        // windows that wrap the period boundary).
-        for d in 0..3 {
-            h.insert_history(t(d * 86_400 + 9 * 3_600), EventKind::Start);
-        }
-        h.insert_history(t(86_400 - 60), EventKind::Start);
-        let ix = h.slot_index().unwrap();
-        let w = Seconds::hours(1);
-        // Every real login must be covered at every window that contains
-        // it: probe windows starting at each login minus a sub-window lag.
-        for &login in h.logins() {
-            for lag in [0, 1, 1_800, 3_599] {
-                assert!(
-                    ix.any_login_in_clock_window(t(login - lag), w),
-                    "probe missed login {login} at lag {lag}"
-                );
-            }
-        }
-        // A clock window with no logins anywhere near it reports empty.
-        assert!(!ix.any_login_in_clock_window(t(3 * 3_600), w));
-        // Wrapping window: starts 23:30, covers the 23:59 login.
-        assert!(ix.any_login_in_clock_window(t(23 * 3_600 + 1_800), w));
-        // A window at least one period long always reports occupancy.
-        assert!(ix.any_login_in_clock_window(t(3 * 3_600), day));
     }
 
     #[test]
     fn restored_table_rebuilds_login_cache_without_slot_index() {
         let mut h = HistoryTable::new();
-        h.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
         for d in 0..4 {
             h.insert_history(t(d * 86_400 + 100), EventKind::Start);
             h.insert_history(t(d * 86_400 + 200), EventKind::End);
@@ -711,12 +501,7 @@ mod tests {
         let restored = HistoryTable::from_records(&h.records()).unwrap();
         assert_eq!(restored.logins(), h.logins());
         assert_eq!(restored.version(), 0);
-        assert!(restored.slot_index().is_none());
         restored.check_invariants();
-        let mut reconfigured = restored;
-        reconfigured.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
-        assert_eq!(reconfigured.slot_index(), h.slot_index());
-        reconfigured.check_invariants();
     }
 
     #[test]

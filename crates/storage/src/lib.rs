@@ -48,7 +48,7 @@ pub mod wal;
 
 pub use backup::{backup_history, restore_history};
 pub use btree::BTree;
-pub use history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
+pub use history::{DeleteOutcome, HistoryTable, StorageStats};
 pub use metadata::{DbMeta, MetadataStore};
 pub use store::{HistoryBackend, HistoryRead, HistoryStore, StorageBackend};
 pub use wal::{DurableHistory, WalRecord, WriteAheadLog};

@@ -4,16 +4,15 @@
 //! §5 history table only through two traits:
 //!
 //! * [`HistoryRead`] — the object-safe read surface Algorithm 4 and the
-//!   incremental prediction index consume (window aggregates, the sorted
-//!   login cache, the optional slot-occupancy index, the mutation
-//!   version).
+//!   incremental predictor consume (window aggregates, the sorted login
+//!   cache, the mutation version).
 //! * [`HistoryStore`] — the mutation surface of Algorithms 2 and 3 plus
-//!   the slot-index and invariant hooks the engines call.
+//!   the invariant hook the engines call.
 //!
 //! [`HistoryBackend`] is the wrapper the engines actually store; its one
 //! variant holds the B+Tree [`HistoryTable`].
 
-use crate::history::{DeleteOutcome, HistoryTable, SlotIndex, StorageStats};
+use crate::history::{DeleteOutcome, HistoryTable, StorageStats};
 use prorp_types::{ActivityEvent, EventKind, Seconds, Timestamp};
 
 /// Read surface of a history store — everything Algorithm 4, the
@@ -63,11 +62,8 @@ pub trait HistoryRead {
     fn version(&self) -> u64;
 
     /// The sorted login (`event_type = 1`) timestamps — the incremental
-    /// predictor's cursor-sweep substrate.
+    /// predictor's change-point sweep substrate.
     fn logins(&self) -> &[i64];
-
-    /// The slot-occupancy index, when one has been configured.
-    fn slot_index(&self) -> Option<&SlotIndex>;
 
     /// All visible events in timestamp order.
     fn events(&self) -> Vec<ActivityEvent>;
@@ -77,7 +73,7 @@ pub trait HistoryRead {
 }
 
 /// Mutation surface of a history store — Algorithms 2 and 3 plus the
-/// engine hooks (slot-index configuration, invariant audit).
+/// invariant audit hook.
 pub trait HistoryStore: HistoryRead {
     /// Algorithm 2 — insert-if-not-exists.  Returns `true` when a tuple
     /// was stored.
@@ -93,9 +89,12 @@ pub trait HistoryStore: HistoryRead {
     /// tuple, and report whether the database is "old".
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome;
 
-    /// (Re)build the slot-occupancy index; degenerate parameters disable
-    /// it.
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds);
+    /// Does nothing.  Stores once kept a per-period slot-occupancy index
+    /// for the incremental predictor; its change-point sweep needs only
+    /// the login cache, so the index is gone.  The method stays for
+    /// callers outside this workspace that still configure it, and will
+    /// be removed together with those calls.
+    fn configure_slot_index(&mut self, _period: Seconds, _slot_len: Seconds) {}
 
     /// Audit the store's structural invariants, panicking with a
     /// description on violation (strict-invariants builds and property
@@ -190,9 +189,6 @@ impl HistoryRead for HistoryBackend {
     fn logins(&self) -> &[i64] {
         self.table().logins()
     }
-    fn slot_index(&self) -> Option<&SlotIndex> {
-        self.table().slot_index()
-    }
     fn events(&self) -> Vec<ActivityEvent> {
         self.table().events()
     }
@@ -207,9 +203,6 @@ impl HistoryStore for HistoryBackend {
     }
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
         self.table_mut().delete_old_history(h, now)
-    }
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        self.table_mut().configure_slot_index(period, slot_len)
     }
     fn check_invariants(&self) {
         self.table().check_invariants()
@@ -248,9 +241,6 @@ impl HistoryRead for HistoryTable {
     fn logins(&self) -> &[i64] {
         HistoryTable::logins(self)
     }
-    fn slot_index(&self) -> Option<&SlotIndex> {
-        HistoryTable::slot_index(self)
-    }
     fn events(&self) -> Vec<ActivityEvent> {
         HistoryTable::events(self)
     }
@@ -265,9 +255,6 @@ impl HistoryStore for HistoryTable {
     }
     fn delete_old_history(&mut self, h: Seconds, now: Timestamp) -> DeleteOutcome {
         HistoryTable::delete_old_history(self, h, now)
-    }
-    fn configure_slot_index(&mut self, period: Seconds, slot_len: Seconds) {
-        HistoryTable::configure_slot_index(self, period, slot_len)
     }
     fn check_invariants(&self) {
         HistoryTable::check_invariants(self)
@@ -301,8 +288,6 @@ mod tests {
         assert_eq!(b.max_timestamp(), Some(t(200)));
         assert_eq!(b.events().len(), 2);
         assert_eq!(b.stats().tuples, 2);
-        b.configure_slot_index(Seconds::days(1), Seconds::minutes(5));
-        assert!(b.slot_index().is_some());
         b.check_invariants();
     }
 

@@ -9,8 +9,9 @@
 //!
 //! 1. a proptest interleaving `insert_history` / `delete_old_history` /
 //!    `predict_at` on a single table, comparing the incrementally
-//!    maintained index against a table rebuilt from scratch at every
-//!    query (and against the naive predictor on both);
+//!    maintained login cache against a table rebuilt from scratch at
+//!    every query (and against the naive predictor on both), with logins
+//!    pinned to the window edges where the change-point sweep jumps;
 //! 2. a fleet-level differential: whole simulations run with the
 //!    default (incremental) predictor versus the `naive_predictor`
 //!    knob must produce bit-identical reports under arbitrary fleets,
@@ -27,32 +28,65 @@ use prorp_types::{EventKind, PolicyConfig, Timestamp};
 use testkit::oracles::{assert_reports_equal, builder, run, DAY};
 use testkit::strategies::{fault_plan, fleet_spec, policy_config, FleetSpec};
 
+/// The query instant boundary-pinned logins are placed around.
+const ANCHOR: i64 = 36 * DAY + 17;
+
 /// One step of an interleaved history workload.
 #[derive(Clone, Copy, Debug)]
 enum Op {
     /// `insert_history(t, kind)` — out-of-order and duplicate
     /// timestamps included on purpose.
     Insert(i64, bool),
+    /// A login pinned to a window edge of a query at [`ANCHOR`]:
+    /// `(k, d, edge)` puts it at `win_start − d·P + edge` for the `k`-th
+    /// slide position `win_start`, reduced to the knobs in use by
+    /// [`Op::resolve`] (`k = −1` is the last position, `d = 0` the
+    /// oldest row).
+    Pinned(i64, i64, u8),
     /// `delete_old_history(history_len, now)` (Algorithm 3).
     Trim(i64),
     /// Query both predictors at `now` and cross-check.
     Predict(i64),
 }
 
+impl Op {
+    /// Turn a [`Op::Pinned`] login into the [`Op::Insert`] it denotes
+    /// under `pc`: the slide index wraps into the horizon's positions,
+    /// the row into `1..=periods`, and the edge picks one of the
+    /// boundaries `−1`, `0`, `w`, `w + 1` of that row's window.
+    fn resolve(self, pc: &PolicyConfig) -> Op {
+        let Op::Pinned(k, d, edge) = self else {
+            return self;
+        };
+        let w = pc.window.as_secs();
+        let k = k.rem_euclid(pc.window_positions());
+        let d = 1 + (d - 1).rem_euclid(pc.periods_in_history());
+        let edge = [-1, 0, w, w + 1][usize::from(edge % 4)];
+        let win_start = ANCHOR + k * pc.slide.as_secs();
+        Op::Insert(
+            win_start - d * pc.seasonality.period().as_secs() + edge,
+            true,
+        )
+    }
+}
+
 fn ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
             5 => (0i64..40 * DAY, any::<bool>()).prop_map(|(t, s)| Op::Insert(t, s)),
+            3 => (prop_oneof![Just(0i64), Just(-1), 0..600], 0i64..40, any::<u8>())
+                .prop_map(|(k, d, e)| Op::Pinned(k, d, e)),
             1 => (0i64..45 * DAY).prop_map(Op::Trim),
             2 => (0i64..45 * DAY).prop_map(Op::Predict),
+            1 => Just(Op::Predict(ANCHOR)),
         ],
         1..100,
     )
 }
 
-/// Replay every mutation applied so far into a brand-new table and
-/// configure its slot index over the final contents — the from-scratch
-/// rebuild the incremental maintenance must be indistinguishable from.
+/// Replay every mutation applied so far into a brand-new table — the
+/// from-scratch rebuild the incremental maintenance must be
+/// indistinguishable from.
 fn rebuild(applied: &[Op], pc: &PolicyConfig) -> HistoryTable {
     let mut t = HistoryTable::default();
     for op in applied {
@@ -68,10 +102,9 @@ fn rebuild(applied: &[Op], pc: &PolicyConfig) -> HistoryTable {
             Op::Trim(now) => {
                 t.delete_old_history(pc.history_len, Timestamp(now));
             }
-            Op::Predict(_) => unreachable!("queries are not mutations"),
+            Op::Predict(_) | Op::Pinned(..) => unreachable!("only resolved mutations are applied"),
         }
     }
-    t.configure_slot_index(pc.seasonality.period(), pc.slide);
     t
 }
 
@@ -80,10 +113,12 @@ proptest! {
 
     /// Under arbitrary interleavings of inserts (in and out of order),
     /// Algorithm 3 trims, and queries, the incrementally maintained
-    /// login cache + slot index never diverge from a from-scratch
-    /// rebuild, and the incremental predictor never diverges from the
-    /// naive scan — on either table, either confidence basis, and any
-    /// validated knob setting.
+    /// login cache never diverges from a from-scratch rebuild, and the
+    /// incremental predictor never diverges from the naive scan — on
+    /// either table, either confidence basis, and any validated knob
+    /// setting (slides that do not divide the window, horizons longer
+    /// than the daily period, weekly seasonality with a horizon shorter
+    /// than the period).
     #[test]
     fn incremental_never_diverges_from_rebuild(
         ops in ops(),
@@ -99,16 +134,15 @@ proptest! {
         let fast = IncrementalPredictor::with_basis(pc, basis).unwrap();
 
         let mut live = HistoryTable::default();
-        live.configure_slot_index(pc.seasonality.period(), pc.slide);
         let mut applied: Vec<Op> = Vec::new();
         for op in ops {
-            match op {
-                Op::Insert(ts, start) => {
+            match op.resolve(&pc) {
+                op @ Op::Insert(ts, start) => {
                     let kind = if start { EventKind::Start } else { EventKind::End };
                     live.insert_history(Timestamp(ts), kind);
                     applied.push(op);
                 }
-                Op::Trim(now) => {
+                op @ Op::Trim(now) => {
                     live.delete_old_history(pc.history_len, Timestamp(now));
                     applied.push(op);
                 }
@@ -131,6 +165,7 @@ proptest! {
                         "rebuild changed the naive answer at {:?}", now
                     );
                 }
+                Op::Pinned(..) => unreachable!("resolved above"),
             }
         }
     }
