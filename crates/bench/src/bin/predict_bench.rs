@@ -28,8 +28,9 @@
 //! into the sweep fails the check gate even in smoke mode.  No JSON is
 //! written in that case.
 
-use prorp_bench::{json_path_from_args, write_json, ExperimentScale, JsonValue};
+use prorp_bench::{json_path_from_args, write_json, ExperimentScale};
 use prorp_forecast::{ConfidenceBasis, IncrementalPredictor, ProbabilisticPredictor};
+use prorp_obs::Json;
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_storage::HistoryTable;
 use prorp_types::{EventKind, PolicyConfig, Seasonality, Seconds, Timestamp};
@@ -89,11 +90,11 @@ fn time_ns<F: FnMut()>(reps: usize, iters: usize, mut f: F) -> Vec<f64> {
 }
 
 /// `{min, median, max}` of sorted samples.
-fn spread(samples: &[f64]) -> JsonValue {
-    JsonValue::object(vec![
-        ("min", JsonValue::Float(samples[0])),
-        ("median", JsonValue::Float(samples[samples.len() / 2])),
-        ("max", JsonValue::Float(samples[samples.len() - 1])),
+fn spread(samples: &[f64]) -> Json {
+    Json::object(vec![
+        ("min", Json::Float(samples[0])),
+        ("median", Json::Float(samples[samples.len() / 2])),
+        ("max", Json::Float(samples[samples.len() - 1])),
     ])
 }
 
@@ -230,12 +231,12 @@ fn main() {
             fast_ns[0],
             speedup
         );
-        micro_rows.push(JsonValue::object(vec![
-            ("case", JsonValue::Str(case.name.into())),
-            ("rows", JsonValue::UInt(h.len() as u64)),
-            ("naive_ns_per_op", JsonValue::Float(naive_ns[0])),
-            ("incremental_ns_per_op", JsonValue::Float(fast_ns[0])),
-            ("speedup", JsonValue::Float(speedup)),
+        micro_rows.push(Json::object(vec![
+            ("case", Json::Str(case.name.into())),
+            ("rows", Json::UInt(h.len() as u64)),
+            ("naive_ns_per_op", Json::Float(naive_ns[0])),
+            ("incremental_ns_per_op", Json::Float(fast_ns[0])),
+            ("speedup", Json::Float(speedup)),
             ("naive_ns", spread(&naive_ns)),
             ("incremental_ns", spread(&fast_ns)),
         ]));
@@ -283,30 +284,27 @@ fn main() {
 
     if let Some(path) = json_path {
         let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let value = JsonValue::object(vec![
-            ("rev", JsonValue::Str(git_rev())),
-            ("nproc", JsonValue::UInt(nproc as u64)),
+        let value = Json::object(vec![
+            ("rev", Json::Str(git_rev())),
+            ("nproc", Json::UInt(nproc as u64)),
             (
                 "mode",
-                JsonValue::Str(if smoke { "smoke" } else { "full" }.into()),
+                Json::Str(if smoke { "smoke" } else { "full" }.into()),
             ),
-            ("repeats", JsonValue::UInt(reps as u64)),
-            ("iters_per_repeat", JsonValue::UInt(iters as u64)),
-            ("micro", JsonValue::Array(micro_rows)),
-            ("default_speedup", JsonValue::Float(default_speedup)),
+            ("repeats", Json::UInt(reps as u64)),
+            ("iters_per_repeat", Json::UInt(iters as u64)),
+            ("micro", Json::Array(micro_rows)),
+            ("default_speedup", Json::Float(default_speedup)),
             (
                 "fleet",
-                JsonValue::object(vec![
-                    ("databases", JsonValue::UInt(scale.fleet as u64)),
-                    ("days", JsonValue::Int(scale.days)),
-                    ("naive_s", JsonValue::Float(naive_s)),
-                    ("incremental_s", JsonValue::Float(fast_s)),
-                    ("speedup", JsonValue::Float(fleet_speedup)),
-                    ("naive_prediction_ns_sum", JsonValue::UInt(naive_pred_ns)),
-                    (
-                        "incremental_prediction_ns_sum",
-                        JsonValue::UInt(fast_pred_ns),
-                    ),
+                Json::object(vec![
+                    ("databases", Json::UInt(scale.fleet as u64)),
+                    ("days", Json::Int(scale.days)),
+                    ("naive_s", Json::Float(naive_s)),
+                    ("incremental_s", Json::Float(fast_s)),
+                    ("speedup", Json::Float(fleet_speedup)),
+                    ("naive_prediction_ns_sum", Json::UInt(naive_pred_ns)),
+                    ("incremental_prediction_ns_sum", Json::UInt(fast_pred_ns)),
                 ]),
             ),
         ]);

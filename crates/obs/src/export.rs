@@ -7,8 +7,8 @@
 //! can be asserted with `assert_eq!` on strings.
 //!
 //! * [`trace_jsonl`] / [`parse_trace_jsonl`] — the trace stream, one span
-//!   per line, losslessly round-trippable (the `prorp-trace` CLI reads
-//!   this format);
+//!   per line, losslessly round-trippable (the parser reads each line
+//!   with [`json::parse`]; the `prorp-trace` CLI reads this format);
 //! * [`snapshots_jsonl`] — the metrics-snapshot series, **deterministic
 //!   metrics only** (volatile `sim_self_*` readings are dropped so the
 //!   stream is shard-layout invariant);
@@ -16,6 +16,7 @@
 //!   **including** the volatile `sim_self_*` self-observations, which is
 //!   what an operator scraping a live fleet wants to see.
 
+use crate::json::{self, Json};
 use crate::metrics::{is_volatile, MetricValue, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use crate::slo::{Alert, SloSeries};
 use crate::span::{
@@ -278,140 +279,8 @@ pub fn alerts_jsonl(alerts: &[Alert]) -> String {
     out
 }
 
-/// One scalar value inside a flat JSON object.
-#[derive(Clone, PartialEq, Debug)]
-enum Scalar {
-    Int(i64),
-    Bool(bool),
-    Str(String),
-}
-
-struct Scanner<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn new(line: &'a str) -> Self {
-        Scanner {
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> ProrpError {
-        ProrpError::Observability(format!("{what} at byte {}", self.pos))
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, expected: u8) -> Result<()> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&expected) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", expected as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'\\' {
-                return Err(self.err("escape sequences are not used by this format"));
-            }
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8 in string"))?
-                    .to_string();
-                self.pos += 1;
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn scalar(&mut self) -> Result<Scalar> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') | Some(b'f') => {
-                let rest = &self.bytes[self.pos..];
-                if rest.starts_with(b"true") {
-                    self.pos += 4;
-                    Ok(Scalar::Bool(true))
-                } else if rest.starts_with(b"false") {
-                    self.pos += 5;
-                    Ok(Scalar::Bool(false))
-                } else {
-                    Err(self.err("expected true/false"))
-                }
-            }
-            Some(b'-') | Some(b'0'..=b'9') => {
-                let start = self.pos;
-                if self.bytes[self.pos] == b'-' {
-                    self.pos += 1;
-                }
-                while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-                text.parse::<i64>()
-                    .map(Scalar::Int)
-                    .map_err(|_| self.err("integer out of range"))
-            }
-            _ => Err(self.err("expected a scalar value")),
-        }
-    }
-
-    /// Parse one flat `{"key":scalar,...}` object, rejecting trailing
-    /// garbage.
-    fn flat_object(&mut self) -> Result<Vec<(String, Scalar)>> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-        } else {
-            loop {
-                let key = self.string()?;
-                self.eat(b':')?;
-                let value = self.scalar()?;
-                fields.push((key, value));
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after object"));
-        }
-        Ok(fields)
-    }
-}
-
 struct Fields {
-    fields: Vec<(String, Scalar)>,
+    object: Json,
     line: usize,
 }
 
@@ -420,19 +289,16 @@ impl Fields {
         ProrpError::Observability(format!("trace line {}: {what}", self.line))
     }
 
-    fn get(&self, key: &str) -> Result<&Scalar> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+    fn get(&self, key: &str) -> Result<&Json> {
+        self.object
+            .get(key)
             .ok_or_else(|| self.err(&format!("missing field {key:?}")))
     }
 
     fn int(&self, key: &str) -> Result<i64> {
-        match self.get(key)? {
-            Scalar::Int(v) => Ok(*v),
-            _ => Err(self.err(&format!("field {key:?} is not an integer"))),
-        }
+        self.get(key)?
+            .as_int()
+            .ok_or_else(|| self.err(&format!("field {key:?} is not an integer")))
     }
 
     fn uint(&self, key: &str) -> Result<u64> {
@@ -442,25 +308,23 @@ impl Fields {
     /// An integer field that may be absent (the format omits optional
     /// fields instead of writing `null`).
     fn opt_int(&self, key: &str) -> Result<Option<i64>> {
-        if self.fields.iter().any(|(k, _)| k == key) {
-            self.int(key).map(Some)
-        } else {
-            Ok(None)
+        match self.object.get(key) {
+            Some(_) => self.int(key).map(Some),
+            None => Ok(None),
         }
     }
 
     fn boolean(&self, key: &str) -> Result<bool> {
         match self.get(key)? {
-            Scalar::Bool(v) => Ok(*v),
+            Json::Bool(v) => Ok(*v),
             _ => Err(self.err(&format!("field {key:?} is not a boolean"))),
         }
     }
 
     fn str(&self, key: &str) -> Result<&str> {
-        match self.get(key)? {
-            Scalar::Str(v) => Ok(v),
-            _ => Err(self.err(&format!("field {key:?} is not a string"))),
-        }
+        self.get(key)?
+            .as_str()
+            .ok_or_else(|| self.err(&format!("field {key:?} is not a string")))
     }
 }
 
@@ -570,11 +434,13 @@ pub fn parse_trace_jsonl(input: &str) -> Result<Vec<TraceRecord>> {
             continue;
         }
         let fields = Fields {
-            fields: Scanner::new(line)
-                .flat_object()
+            object: json::parse(line)
                 .map_err(|e| ProrpError::Observability(format!("trace line {}: {e}", idx + 1)))?,
             line: idx + 1,
         };
+        if !matches!(fields.object, Json::Object(_)) {
+            return Err(fields.err("expected a JSON object"));
+        }
         records.push(TraceRecord {
             start: Timestamp(fields.int("start")?),
             end: Timestamp(fields.int("end")?),

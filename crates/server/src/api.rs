@@ -29,7 +29,7 @@ use crate::backend::{DbRecord, StateBackend};
 use crate::clock::LiveClock;
 use crate::driver::{LiveDriver, LiveEvent, LiveEventKind};
 use crate::http::{self, Request, Response, ServerHandle};
-use crate::json::{self, Json};
+use prorp_obs::json::{self, Json};
 use prorp_sim::{SimConfig, SimReport};
 use prorp_telemetry::IncidentEntry;
 use prorp_types::{DatabaseId, DbState, ProrpError, Timestamp};
@@ -257,7 +257,9 @@ fn post_events(state: &mut ServerState, body: &str) -> Response {
     let Some(events) = parsed.get("events").and_then(Json::as_array) else {
         return Response::json(400, error_body("missing \"events\" array"));
     };
-    let mut results = Vec::with_capacity(events.len());
+    // Validate the whole batch before ingesting any of it, so a rejected
+    // batch leaves nothing buffered and its corrected retry is accepted.
+    let mut batch = Vec::with_capacity(events.len());
     for ev in events {
         let (Some(db), Some(at), Some(kind)) = (
             ev.get("db").and_then(Json::as_int),
@@ -271,13 +273,16 @@ fn post_events(state: &mut ServerState, body: &str) -> Response {
         if db < 0 {
             return Response::json(400, error_body("negative database id"));
         }
-        let outcome = driver.ingest(LiveEvent {
+        batch.push(LiveEvent {
             db: DatabaseId(db as u64),
             at: Timestamp(at),
             kind,
         });
-        results.push(Json::Str(outcome.label().into()));
     }
+    let results = batch
+        .into_iter()
+        .map(|ev| Json::Str(driver.ingest(ev).label().into()))
+        .collect();
     Response::json(
         200,
         Json::object(vec![

@@ -19,7 +19,7 @@
 //!
 //! Event-stream lines are `{"db":N,"at":T,"kind":"login"|"logout"}`.
 
-use prorp_server::json::{self, Json};
+use prorp_obs::json::{self, Json};
 use prorp_server::{ApiServer, InMemoryBackend, LiveEvent, LiveEventKind, ServerConfig};
 use prorp_sim::{SimConfig, SimPolicy, SimReport, Simulation};
 use prorp_types::{ActivityEvent, DatabaseId, PolicyConfig, Timestamp};

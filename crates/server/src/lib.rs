@@ -44,8 +44,9 @@
 //! * [`clock`] — wall vs. virtual time behind one [`LiveClock`];
 //! * [`http`] — a dependency-free HTTP/1.1 server on
 //!   `std::net::TcpListener` (the workspace vendors no async runtime);
-//! * [`json`] — hand-rolled JSON parsing/rendering, same canonical
-//!   discipline as `prorp-obs`;
+//! * [`json`] — a re-export of [`prorp_obs::json`], the workspace's one
+//!   JSON codec (the API and the binary import it from `prorp-obs`; the
+//!   re-export keeps older `prorp_server::json` imports compiling);
 //! * [`api`] — the endpoint surface: `POST /v1/events`,
 //!   `GET /v1/databases/:id`, `POST /v1/databases/:id/resume|pause`,
 //!   `GET /metrics`, `POST /v1/clock/advance`, `POST /v1/finish`.
@@ -58,7 +59,7 @@ pub mod backend;
 pub mod clock;
 pub mod driver;
 pub mod http;
-pub mod json;
+pub use prorp_obs::json;
 
 pub use api::{ApiServer, ServerConfig};
 pub use backend::{DbRecord, InMemoryBackend, StateBackend};

@@ -238,6 +238,24 @@ fn wall_clock_mode_rejects_manual_advance() {
     server.shutdown();
 }
 
+/// A batch with one invalid event is rejected whole: nothing from it is
+/// buffered, so the corrected retry is accepted rather than "duplicate".
+#[test]
+fn rejected_event_batch_buffers_nothing() {
+    let cfg = SimConfig::builder(SimPolicy::Reactive, Timestamp(0), day(1), Timestamp(0))
+        .build()
+        .expect("config validates");
+    let server = start_server(&cfg, &[DatabaseId(0)]);
+    let valid = r#"{"db":0,"at":900,"kind":"login"}"#;
+    let mixed = format!(r#"{{"events":[{valid},{{}}]}}"#);
+    assert_eq!(http(server.addr(), "POST", "/v1/events", &mixed).0, 400);
+    let retry = format!(r#"{{"events":[{valid}]}}"#);
+    let (status, body) = http(server.addr(), "POST", "/v1/events", &retry);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains(r#"["accepted"]"#), "{body}");
+    server.shutdown();
+}
+
 /// Satellite: retry-exhaustion escalation surfaces as HTTP 503 with an
 /// incident record, and an operator resume clears it.
 #[test]

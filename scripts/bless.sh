@@ -32,6 +32,11 @@ cargo run --release -q -p prorp-obs --bin prorp-trace -- \
     tests/goldens/trace_decisions_small.jsonl why 2 209053 \
     > tests/goldens/why_small.txt
 
+# Re-record the machine-readable fleet composition that check.sh diffs
+# the JSON renderer's output against.
+cargo run --release -q -p prorp-bench --bin fleet_report -- \
+    --json results/BENCH_fleet.json
+
 # Re-record the full-scale prediction-index A/B numbers alongside the
 # goldens (timings are machine-dependent; the committed file documents a
 # representative run, the smoke run in check.sh guards the equivalence).

@@ -10,7 +10,8 @@
 # checks (bit-stable simulator output; re-record intentional changes
 # with scripts/bless.sh), the `prorp-trace` CLI against the golden
 # traces, the control-plane server replay gate (live ≡ DES over HTTP),
-# the machine-readable fleet-composition export, the bench smokes,
+# the machine-readable fleet-composition export (diffed against its
+# committed record), the bench smokes,
 # clippy (warnings are errors), rustdoc (warnings are errors), and the
 # formatting check.  Fails fast on the first broken step.
 
@@ -72,9 +73,12 @@ cargo run --release -q -p prorp-server --bin prorp-server -- \
     > target/server_replay.txt
 run diff -u tests/goldens/server_replay.txt target/server_replay.txt
 
-# Machine-readable fleet composition for downstream tooling.
+# Machine-readable fleet composition for downstream tooling: a byte
+# golden for the JSON renderer (re-record intentional drift with
+# scripts/bless.sh).
 run cargo run --release -q -p prorp-bench --bin fleet_report -- \
-    --json results/BENCH_fleet.json
+    --json target/fleet_report.json
+run diff -u results/BENCH_fleet.json target/fleet_report.json
 
 # Prediction-index A/B in smoke mode: asserts naive ≡ incremental on
 # every timed case (the committed full-scale numbers in
